@@ -1,22 +1,18 @@
 // Incremental replanning: per-epoch planning cost with and without a
 // shared core::PlanningWorkspace on the Figure-3 deployment (n=100,
 // k=10, geometric network). Each query epoch slides the sample window by
-// one fresh reading and replans; the cold mode rebuilds every LP from
-// scratch (the seed behavior), the workspace modes delta-patch the cached
-// model and hot-start the simplex from the retained tableau.
+// one fresh reading and replans.
 //
-// Three modes per planner:
-//   * cold     — no workspace; every epoch pays the full build + solve.
-//   * checked  — workspace with the default cross-check: warm solves are
-//     verified against a cold re-solve and the cold solution is returned,
-//     so plans are bit-identical to the cold mode (the process aborts if
-//     any epoch's plan differs). This mode still skips model rebuilds.
-//   * trust    — cross-check off: the steady-state fast path. Objectives
-//     match cold; a degenerate LP may round to an equally good twin plan.
+// Two modes per planner:
+//   * cold      — no workspace; every epoch builds and solves its LP from
+//     scratch.
+//   * workspace — the cached LP skeleton is delta-patched (new sample
+//     blocks appended, departed ones tombstoned, budget RHS patched) and
+//     solved once with SimplexSolver::Solve; topology caches are reused.
+//     The process aborts if any epoch's plan differs from the cold plan.
 //
-// Expected shape: steady-state (epochs after the first) replan cost in
-// the workspace modes sits below the cold per-epoch cost, with trust <
-// checked < cold for the LP planners.
+// workspace_speedup = cold steady ms / workspace steady ms, per planner:
+// what the skeleton and topology caches buy over rebuilding.
 //
 // Emits BENCH_incremental_replan.json in the current working directory.
 
@@ -120,7 +116,8 @@ ModeResult RunMode(int which, const Stream& stream, const net::Topology& topo,
     out.plans.push_back(std::move(*plan));
   }
   // Median, not mean: a single-core box under sporadic scheduler steal
-  // produces multi-x outliers that would swamp the cold/hot comparison.
+  // produces multi-x outliers that would swamp the cold/workspace
+  // comparison.
   if (steady.empty()) {
     out.steady_ms = out.first_ms;
   } else {
@@ -183,7 +180,7 @@ void Run() {
 
   bench::TableHeader(&json, "steady-state replan cost (ms per plan)",
                      {"planner", "cold_first_ms", "cold_steady_ms",
-                      "checked_steady_ms", "trust_steady_ms", "trust_speedup"});
+                      "workspace_steady_ms", "workspace_speedup"});
 
   struct CounterRow {
     int which;
@@ -197,50 +194,39 @@ void Run() {
     const Stream& stream = dep.stream;
     const double budget = which == 3 ? proof_budget : kBudgetMj;
     const ModeResult cold = RunMode(which, stream, topo, budget, nullptr);
+    core::PlanningWorkspace ws;
+    const ModeResult cached = RunMode(which, stream, topo, budget, &ws);
 
-    core::WorkspaceOptions checked_opts;  // cross_check defaults to true
-    core::PlanningWorkspace checked_ws(checked_opts);
-    const ModeResult checked = RunMode(which, stream, topo, budget, &checked_ws);
-
-    core::WorkspaceOptions trust_opts;
-    trust_opts.cross_check = false;
-    core::PlanningWorkspace trust_ws(trust_opts);
-    const ModeResult trust = RunMode(which, stream, topo, budget, &trust_ws);
-
-    // The checked mode's contract: bit-identical plans, every epoch.
+    // The workspace's contract: bit-identical plans, every epoch.
     for (size_t e = 0; e < cold.plans.size(); ++e) {
-      if (!SamePlan(cold.plans[e], checked.plans[e])) {
+      if (!SamePlan(cold.plans[e], cached.plans[e])) {
         std::fprintf(stderr,
-                     "FATAL: planner %d epoch %zu: checked workspace plan "
-                     "differs from cold plan\n",
+                     "FATAL: planner %d epoch %zu: workspace plan differs "
+                     "from cold plan\n",
                      which, e);
         std::abort();
       }
     }
 
+    const double speedup =
+        cached.steady_ms > 0.0 ? cold.steady_ms / cached.steady_ms : 0.0;
     std::printf("  [%d] %s\n", which, MakePlanner(which)->name().c_str());
-    bench::TableRow(&json,
-                    {double(which), cold.first_ms, cold.steady_ms,
-                     checked.steady_ms, trust.steady_ms,
-                     trust.steady_ms > 0.0 ? cold.steady_ms / trust.steady_ms
-                                           : 0.0});
-    counter_rows.push_back({which, trust.counters});
+    bench::TableRow(&json, {double(which), cold.first_ms, cold.steady_ms,
+                            cached.steady_ms, speedup});
+    counter_rows.push_back({which, cached.counters});
   }
 
-  bench::TableHeader(&json, "workspace counters (trust mode)",
+  bench::TableHeader(&json, "workspace counters",
                      {"planner", "lp_hits", "lp_misses", "lp_patches",
-                      "warm_attempts", "warm_successes", "topo_hits",
-                      "topo_misses"});
+                      "topo_hits", "topo_misses"});
   for (const CounterRow& r : counter_rows) {
     bench::TableRow(&json, {double(r.which), double(r.c.lp_hits),
                             double(r.c.lp_misses), double(r.c.lp_patches),
-                            double(r.c.warm_attempts),
-                            double(r.c.warm_successes), double(r.c.topo_hits),
-                            double(r.c.topo_misses)});
+                            double(r.c.topo_hits), double(r.c.topo_misses)});
   }
 
   json.Write();
-  std::printf("(checked-workspace plans bit-identical to cold plans)\n");
+  std::printf("(workspace plans bit-identical to cold plans)\n");
 }
 
 }  // namespace

@@ -107,10 +107,7 @@ Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
   if (!rebuild) {
     std::vector<uint64_t> window_stamps(S);
     for (int j = 0; j < S; ++j) window_stamps[j] = samples.sample_stamp(j);
-    const double ratio = ctx.workspace != nullptr
-                             ? ctx.workspace->options().max_dead_ratio
-                             : 1.0;
-    rebuild = entry->TombstoneOutsideWindow(window_stamps, ratio, &patch_ops);
+    rebuild = entry->TombstoneOutsideWindow(window_stamps, &patch_ops);
   }
 
   if (rebuild) {
@@ -215,9 +212,7 @@ Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
   }
 
   Result<lp::Solution> solved =
-      ctx.workspace != nullptr
-          ? ctx.workspace->SolveLp(entry, options_.simplex)
-          : lp::SimplexSolver(options_.simplex).Solve(entry->model);
+      lp::SimplexSolver(options_.simplex).Solve(entry->model);
   if (!solved.ok()) return solved.status();
   last_stats_.lp = solved->stats;
   if (solved->status != lp::SolveStatus::kOptimal) {

@@ -130,9 +130,7 @@ Result<QueryPlan> LpNoFilterPlanner::Plan(const PlannerContext& ctx,
   }
 
   Result<lp::Solution> solved =
-      ctx.workspace != nullptr
-          ? ctx.workspace->SolveLp(entry, options_.simplex)
-          : lp::SimplexSolver(options_.simplex).Solve(entry->model);
+      lp::SimplexSolver(options_.simplex).Solve(entry->model);
   if (!solved.ok()) return solved.status();
   last_stats_.lp = solved->stats;
   if (solved->status != lp::SolveStatus::kOptimal) {

@@ -169,10 +169,7 @@ Result<QueryPlan> ProofPlanner::Plan(const PlannerContext& ctx,
     for (int w = 0; w < W; ++w) {
       window_stamps[w] = all_samples.sample_stamp(offset + w);
     }
-    const double ratio = ctx.workspace != nullptr
-                             ? ctx.workspace->options().max_dead_ratio
-                             : 1.0;
-    rebuild = entry->TombstoneOutsideWindow(window_stamps, ratio, &patch_ops);
+    rebuild = entry->TombstoneOutsideWindow(window_stamps, &patch_ops);
   }
 
   if (rebuild) {
@@ -222,9 +219,7 @@ Result<QueryPlan> ProofPlanner::Plan(const PlannerContext& ctx,
   }
 
   Result<lp::Solution> solved =
-      ctx.workspace != nullptr
-          ? ctx.workspace->SolveLp(entry, options_.simplex)
-          : lp::SimplexSolver(options_.simplex).Solve(entry->model);
+      lp::SimplexSolver(options_.simplex).Solve(entry->model);
   if (!solved.ok()) return solved.status();
   last_stats_.lp = solved->stats;
   if (solved->status != lp::SolveStatus::kOptimal) {

@@ -16,7 +16,6 @@ QueryEngine::QueryEngine(const net::Topology* topology,
                          QueryEngineOptions options, uint64_t seed)
     : topology_(topology),
       options_(options),
-      workspace_(options.workspace),
       ctx_{topology, energy, failures},
       sim_(topology, energy, failures, seed),
       rng_(seed ^ 0x5e551011),
@@ -83,6 +82,7 @@ Result<int> QueryEngine::AddQueryWithId(int id, const QuerySpec& spec) {
 bool QueryEngine::RemoveQuery(int id) {
   const bool removed = registry_.Remove(id);
   if (removed) {
+    workspace_.DropLps(id);  // leases are keyed by query id
     PROSPECTOR_COUNTER_ADD("engine.queries_retired", 1);
     PROSPECTOR_FLIGHT(kNote, "engine.retire", id, registry_.size(), 0);
   }

@@ -30,7 +30,6 @@ struct QueryEngineOptions {
   /// One PlanningWorkspace shared by every query's replans; each query
   /// leases its own LP slot (keyed by query id), so caches never collide.
   bool use_workspace = true;
-  WorkspaceOptions workspace;
 
   /// Scripted fault timeline (engine epoch == event epoch). Empty = none.
   net::FaultSchedule faults;
@@ -127,7 +126,8 @@ class QueryEngine {
   /// the id was ever used on this engine — ids never alias, so a retired
   /// query's attribution pools and health windows cannot be revived.
   Result<int> AddQueryWithId(int id, const QuerySpec& spec);
-  /// Retires a query. Its attributed energy stays in the engine totals.
+  /// Retires a query. Its attributed energy stays in the engine totals;
+  /// its cached LPs are dropped from the workspace.
   bool RemoveQuery(int id);
   int num_queries() const { return registry_.size(); }
   std::vector<int> query_ids() const { return registry_.ids(); }

@@ -11,7 +11,6 @@ QueryEngineOptions EngineOptionsFrom(const SessionOptions& options) {
   eo.sample_window = options.sample_window;
   eo.bootstrap_sweeps = options.bootstrap_sweeps;
   eo.use_workspace = options.use_workspace;
-  eo.workspace = options.workspace;
   eo.faults = options.faults;
   eo.lossy = options.lossy;
   eo.dead_after_epochs = options.dead_after_epochs;

@@ -32,11 +32,10 @@ struct SessionOptions {
 
   // --- Incremental planning (DESIGN.md, "Incremental planning") ---
   /// The session owns a PlanningWorkspace and threads it through every
-  /// replan, so steady-state epochs reuse cached LP skeletons, warm-start
-  /// the simplex, and skip replans whose inputs did not move. Plans are
-  /// bit-identical either way; disable to force the from-scratch path.
+  /// replan, so steady-state epochs reuse cached LP skeletons and skip
+  /// replans whose inputs did not move. Disable to force the from-scratch
+  /// path.
   bool use_workspace = true;
-  WorkspaceOptions workspace;
 
   // --- Robustness (DESIGN.md, "Failure semantics") ---
   /// Scripted fault timeline, driven by the session clock (event epoch ==

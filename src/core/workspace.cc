@@ -28,8 +28,7 @@ uint64_t HashDouble(uint64_t h, double v) {
 }  // namespace
 
 bool LpEntry::TombstoneOutsideWindow(
-    const std::vector<uint64_t>& window_stamps, double max_dead_ratio,
-    int* patch_ops) {
+    const std::vector<uint64_t>& window_stamps, int* patch_ops) {
   std::unordered_set<uint64_t> window(window_stamps.begin(),
                                       window_stamps.end());
   std::unordered_set<uint64_t> known;
@@ -52,7 +51,7 @@ bool LpEntry::TombstoneOutsideWindow(
                      : static_cast<double>(live_block_vars + dead_block_vars) /
                            static_cast<double>(blocks.size());
   const double prospective_live = live_block_vars + pending * mean_block_vars;
-  return dead_block_vars > max_dead_ratio * std::max(1.0, prospective_live);
+  return dead_block_vars > kMaxDeadRatio * std::max(1.0, prospective_live);
 }
 
 PlanningWorkspace::LpLease& PlanningWorkspace::LpLease::operator=(
@@ -180,27 +179,6 @@ std::shared_ptr<const HitMatrix> PlanningWorkspace::Hits(
   return hits_cache_;
 }
 
-Result<lp::Solution> PlanningWorkspace::SolveLp(
-    LpEntry* entry, const lp::SimplexOptions& simplex) {
-  lp::SimplexSolver solver(simplex);
-  if (!options_.warm_start) {
-    entry->hot.Clear();
-    return solver.Solve(entry->model);
-  }
-  // SolveHot re-optimizes from the entry's retained tableau when one
-  // exists (a hot start — no refactorization) and repopulates it from a
-  // cold solve otherwise, so the entry is always primed for the next call.
-  const bool hot = !entry->hot.empty();
-  Result<lp::Solution> solved =
-      solver.SolveHot(entry->model, &entry->hot, options_.cross_check);
-  if (hot) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.warm_attempts;
-    if (solved.ok() && solved->warm_started) ++counters_.warm_successes;
-  }
-  return solved;
-}
-
 void PlanningWorkspace::NoteLpHit() {
   PROSPECTOR_COUNTER_ADD("workspace.lp.hit", 1);
   std::lock_guard<std::mutex> lock(mu_);
@@ -217,6 +195,20 @@ void PlanningWorkspace::NoteLpPatch(int ops) {
   PROSPECTOR_COUNTER_ADD("workspace.lp.patch", ops);
   std::lock_guard<std::mutex> lock(mu_);
   counters_.lp_patches += ops;
+}
+
+void PlanningWorkspace::DropLps(int lease_key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // A slot leased out right now goes too; ReleaseLp then finds no slot and
+  // discards the returning entry, as after Clear.
+  std::erase_if(lp_entries_, [&](const auto& slot) {
+    return slot.first.second == lease_key;
+  });
+}
+
+size_t PlanningWorkspace::num_lp_entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return lp_entries_.size();
 }
 
 void PlanningWorkspace::Clear() {

@@ -11,43 +11,18 @@
 #include "src/core/hit_matrix.h"
 #include "src/core/planner.h"
 #include "src/lp/model.h"
-#include "src/lp/simplex.h"
 #include "src/net/topology.h"
 #include "src/sampling/sample_set.h"
-#include "src/util/status.h"
 #include "src/util/thread_pool.h"
 
 namespace prospector {
 namespace core {
 
-/// Tuning of the incremental planning caches.
-struct WorkspaceOptions {
-  /// Re-solve cached LPs hot: each entry retains the final simplex tableau
-  /// of its last optimal solve and the next solve resumes from it with
-  /// phase-2 pivots only (lp::SimplexSolver::SolveHot). Off = cached
-  /// models are still reused but always solved cold, and no tableau is
-  /// retained.
-  bool warm_start = true;
-  /// Always-on debug cross-check (the default): every warm-started solve
-  /// is re-solved cold, the objectives are asserted equal
-  /// (process-aborting diagnostic on mismatch), and the cold solution is
-  /// returned — so workspace-on planning is bit-identical to
-  /// workspace-off by construction. Disabling it ("trust mode") skips the
-  /// verification re-solve for maximum speed; the objective is still the
-  /// optimum, but a degenerate LP (e.g. LP+LF's zero-objective bandwidth
-  /// variables) may land on an alternate optimal vertex and round to a
-  /// different — equally good — plan. See DESIGN.md, "Incremental
-  /// planning".
-  bool cross_check = true;
-  /// Rebuild a cached LP from scratch once its tombstoned (dead) sample
-  /// variables exceed `max_dead_ratio` times the live ones. Dead blocks
-  /// cost tableau width (their rows and columns stay in the model) on
-  /// every solve, and hot-solve cost grows quadratically with width, so a
-  /// lean tableau beats a rarely-rebuilt one: 0.25 keeps steady-state
-  /// replans ~1.7x faster than cold on the fig-3 LP+LF workload where 1.0
-  /// made them slower than cold.
-  double max_dead_ratio = 0.25;
-};
+/// Rebuild a cached LP from scratch once its tombstoned (dead) sample
+/// variables exceed this many times the live ones. Dead blocks keep their
+/// rows and columns in the model, so every solve pays for them; a rebuild
+/// drops them.
+inline constexpr double kMaxDeadRatio = 0.25;
 
 /// Cache-effectiveness counters (also mirrored into the global metrics
 /// registry as workspace.* counters). Snapshot via
@@ -58,8 +33,6 @@ struct WorkspaceCounters {
   long long lp_hits = 0;      ///< cached LP reused (delta-patched)
   long long lp_misses = 0;    ///< cached LP rebuilt from scratch
   long long lp_patches = 0;   ///< individual patch ops (obj/rhs/blocks)
-  long long warm_attempts = 0;   ///< solves started from a prior basis
-  long long warm_successes = 0;  ///< ... that did not fall back to cold
 };
 
 /// Memo of SampleHits(plan, topology, samples) for one *fixed* plan:
@@ -95,9 +68,8 @@ enum class LpKind { kNoFilter = 0, kFilter = 1, kProof = 2 };
 
 /// Variables a single sample contributed to a cached LP. When the window
 /// slides the block is tombstoned (its variables' objective weights are
-/// zeroed) rather than removed, so the constraint matrix keeps its shape
-/// and the previous basis stays primal feasible — the next solve can
-/// warm-start. Dead variables keep their bounds; they only appear on the
+/// zeroed) rather than removed, so the cached model is patched instead of
+/// rebuilt. Dead variables keep their bounds; they only appear on the
 /// small side of <= rows whose large side is a shared (live) variable, so
 /// every optimum can drive them to zero at no objective cost and the
 /// optimal value equals a from-scratch rebuild's.
@@ -110,11 +82,10 @@ struct LpSampleBlock {
   std::vector<std::pair<int, int>> node_vars;
 };
 
-/// One cached LP: the model, the retained solver tableau of its last
-/// optimal solve (for hot re-solves), the keys that decide staleness, and
-/// the per-sample block ledger. The planners own the model semantics (what
-/// x/z/b mean, how blocks are appended); the workspace owns storage,
-/// leasing, and the hot/cold solve policy.
+/// One cached LP: the model, the keys that decide staleness, and the
+/// per-sample block ledger. The planners own the model semantics (what
+/// x/z/b mean, how blocks are appended) and solve the model themselves;
+/// the workspace owns storage and leasing.
 struct LpEntry {
   bool built = false;
   uint64_t topo_epoch = 0;
@@ -122,7 +93,6 @@ struct LpEntry {
   uint64_t cost_fingerprint = 0;
   int k = 0;
   lp::Model model;
-  lp::TableauState hot;
   std::vector<LpSampleBlock> blocks;
   int live_block_vars = 0;
   int dead_block_vars = 0;
@@ -136,20 +106,19 @@ struct LpEntry {
   void Reset() { *this = LpEntry{}; }
 
   /// Slides the cached model's window: every live block whose stamp is not
-  /// in `window_stamps` is tombstoned (objective weights zeroed — bounds
-  /// kept, so the previous basis stays primal feasible and the next solve
-  /// can hot-start; a weightless variable only appears on the small side
-  /// of <= rows whose large side is a shared live variable, so the optimal
-  /// value still equals a from-scratch rebuild's). One patch op is charged
-  /// per tombstoned block. Returns true when the entry should be rebuilt
-  /// instead: dead mass above `max_dead_ratio` times the *prospective*
-  /// live mass — the surviving blocks plus the window samples about to be
+  /// in `window_stamps` is tombstoned (objective weights zeroed, bounds
+  /// kept; a weightless variable only appears on the small side of <= rows
+  /// whose large side is a shared live variable, so the optimal value
+  /// still equals a from-scratch rebuild's). One patch op is charged per
+  /// tombstoned block. Returns true when the entry should be rebuilt
+  /// instead: dead mass above kMaxDeadRatio times the *prospective* live
+  /// mass — the surviving blocks plus the window samples about to be
   /// appended (valued at the historical mean block size). Counting the
   /// pending appends matters: at high window churn the pre-append live
   /// mass alone understates the solved model and forces rebuilds every
   /// epoch.
   bool TombstoneOutsideWindow(const std::vector<uint64_t>& window_stamps,
-                              double max_dead_ratio, int* patch_ops);
+                              int* patch_ops);
 
   /// True when the base keys no longer describe the planning inputs and
   /// the model must be rebuilt from scratch.
@@ -165,19 +134,18 @@ struct LpEntry {
 /// net::Topology::epoch(), and incremental LP models keyed additionally on
 /// the sample window's (id, version) and a cost-model fingerprint. A null
 /// workspace everywhere means planners recompute from scratch — the exact
-/// seed behavior; with a workspace, plans are bit-identical and only the
-/// work to produce them changes. Thread-safe: topology caches are shared
-/// immutable snapshots, LP entries are handed out under exclusive leases.
+/// seed behavior; with a workspace, planners patch the cached model and
+/// solve it once, and the resulting plans are gated bit-identical to the
+/// from-scratch ones (core_workspace_test, bench_incremental_replan).
+/// Thread-safe: topology caches are shared immutable snapshots, LP entries
+/// are handed out under exclusive leases.
 class PlanningWorkspace {
  public:
   using IntLists = std::vector<std::vector<int>>;
 
-  explicit PlanningWorkspace(WorkspaceOptions options = {})
-      : options_(options) {}
+  PlanningWorkspace() = default;
   PlanningWorkspace(const PlanningWorkspace&) = delete;
   PlanningWorkspace& operator=(const PlanningWorkspace&) = delete;
-
-  const WorkspaceOptions& options() const { return options_; }
 
   /// ComputePathCache(topology), cached per topology epoch.
   std::shared_ptr<const IntLists> Paths(const net::Topology& topology,
@@ -189,10 +157,10 @@ class PlanningWorkspace {
 
   /// Exclusive lease on the cached LP for (kind, lease_key). The same key
   /// always yields the same entry, so a deterministic caller sees a
-  /// deterministic cache history — PlanSweep keys by request index,
-  /// sessions use key 0. If the slot is (erroneously) already leased, a
-  /// fresh throwaway entry is returned instead: the caller plans cold,
-  /// which is always correct.
+  /// deterministic cache history — PlanSweep keys by request index, the
+  /// query engine by query id. If the slot is (erroneously) already
+  /// leased, a fresh throwaway entry is returned instead: the caller plans
+  /// cold, which is always correct.
   class LpLease {
    public:
     LpLease() = default;
@@ -226,16 +194,17 @@ class PlanningWorkspace {
   /// `samples`, so plans are identical with or without the cache.
   std::shared_ptr<const HitMatrix> Hits(const sampling::SampleSet& samples);
 
-  /// Solves the entry's model, warm-starting from its stored basis when
-  /// the options allow, and stores the new basis back for next time.
-  /// Accounts warm attempts/successes and the lp.* metrics.
-  Result<lp::Solution> SolveLp(LpEntry* entry,
-                               const lp::SimplexOptions& simplex);
-
   /// Counter hooks for the planners (mirrored to global metrics).
   void NoteLpHit();
   void NoteLpMiss();
   void NoteLpPatch(int ops = 1);
+
+  /// Drops every LP entry cached under `lease_key`, of every kind. The
+  /// engine calls this when it retires a query (the key is the query id,
+  /// never reissued), so retired queries stop holding their models.
+  void DropLps(int lease_key);
+  /// LP entries currently cached, leased-out slots included.
+  size_t num_lp_entries() const;
 
   /// Drops every cache (topology snapshots, LP entries, counters stay).
   /// Sessions call this after a self-healing rebuild: the new epoch would
@@ -263,7 +232,6 @@ class PlanningWorkspace {
 
   void ReleaseLp(LpKind kind, int key, std::unique_ptr<LpEntry> entry);
 
-  WorkspaceOptions options_;
   mutable std::mutex mu_;
   TopoCacheSlot paths_, ancestors_, descendants_;
   /// (kind, lease key) -> entry; a leased slot maps to nullptr until the

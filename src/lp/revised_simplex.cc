@@ -1,4 +1,4 @@
-// Sparse revised simplex: the default cold-solve engine behind
+// Sparse revised simplex: kAuto's engine for planner LPs behind
 // SimplexSolver::Solve. It runs the same two-phase bounded-variable method
 // as the dense tableau (simplex.cc) — same equality form, same initial
 // basis, same Dantzig/Bland pricing, same ratio-test tie-breaking, same
@@ -198,10 +198,10 @@ struct Engine {
   }
 
   // Rebuilds the eta file from the current basis columns, re-assigning each
-  // basic column to the unclaimed row where it pivots largest (the dense
-  // warm-restore rule). Returns false when the basis matrix is singular.
-  // Work is proportional to the factorization's fill-in, not m^2: slack
-  // columns (the bulk of a planner basis) are unit vectors and cost O(1).
+  // basic column to the unclaimed row where it pivots largest. Returns
+  // false when the basis matrix is singular. Work is proportional to the
+  // factorization's fill-in, not m^2: slack columns (the bulk of a planner
+  // basis) are unit vectors and cost O(1).
   bool Refactor() {
     eta.Clear();
     pivots_since_refactor = 0;
@@ -608,29 +608,12 @@ bool RevisedAttempt(const Model& model, const SimplexOptions& opts,
     sol->reduced_costs[j] = maximize ? -dj : dj;
   }
   sol->primal_residual = internal::ComputePrimalResidual(model, sol->values);
-
-  // Capture the basis for future warm starts — only when no artificial
-  // column stayed basic, since a warm restore has no artificial columns.
-  for (int i = 0; i < m; ++i) {
-    if (eng.basis[i] >= nstruct + m) return true;
-  }
-  sol->basis.num_structural = nstruct;
-  sol->basis.num_rows = m;
-  sol->basis.basic = eng.basis;
-  sol->basis.status.resize(nstruct + m);
-  for (int j = 0; j < nstruct + m; ++j) {
-    sol->basis.status[j] = static_cast<unsigned char>(eng.status[j]);
-  }
   return true;
 }
 
 }  // namespace
 
-Result<Solution> SimplexSolver::SolveRevised(const Model& model,
-                                             bool cross_check) const {
-#ifdef PROSPECTOR_LP_CROSSCHECK
-  cross_check = true;
-#endif
+Result<Solution> SimplexSolver::SolveRevised(const Model& model) const {
   PROSPECTOR_SPAN("lp.solve_revised");
   PROSPECTOR_RETURN_IF_ERROR(model.Validate());
   PROSPECTOR_RETURN_IF_ERROR(
@@ -645,8 +628,9 @@ Result<Solution> SimplexSolver::SolveRevised(const Model& model,
   }
   PROSPECTOR_COUNTER_ADD("lp.revised_solves", 1);
   internal::RecordSolveMetrics(sol);
-  if (!cross_check) return sol;
-
+#ifndef PROSPECTOR_LP_CROSSCHECK
+  return sol;
+#else
   auto dense = SolveDense(model);
   if (!dense.ok()) return dense;
   const Solution& c = dense.value();
@@ -667,6 +651,7 @@ Result<Solution> SimplexSolver::SolveRevised(const Model& model,
   // Return the dense solution so every downstream decision is bit-identical
   // to a dense-only pipeline.
   return dense;
+#endif
 }
 
 }  // namespace lp

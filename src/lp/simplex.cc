@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "src/lp/solver_internal.h"
@@ -14,7 +11,9 @@
 
 namespace prospector {
 namespace lp {
-namespace internal {
+namespace {
+
+using internal::VarStatus;
 
 // Working state of a solve: the equality-form problem
 //   A x = b,  lo <= x <= up
@@ -69,13 +68,6 @@ struct Tableau {
     for (int i = 0; i < m; ++i) d[basis[i]] = 0.0;
   }
 };
-
-}  // namespace internal
-
-namespace {
-
-using internal::Tableau;
-using internal::VarStatus;
 
 struct PivotChoice {
   int entering = -1;
@@ -257,9 +249,8 @@ SolveStatus Iterate(Tableau* tab, const SimplexOptions& opts, int max_iters,
   return SolveStatus::kIterationLimit;
 }
 
-// Fills values, objective, duals, reduced costs, residual, and the
-// reusable basis from a tableau that Iterate() left optimal. Shared by the
-// cold and warm solve paths so both extract identically.
+// Fills values, objective, duals, reduced costs, and residual from a
+// tableau that Iterate() left optimal.
 void ExtractOptimal(const Tableau& tab, const Model& model, int nstruct,
                     int m, bool maximize, Solution* sol) {
   sol->values.assign(nstruct, 0.0);
@@ -287,405 +278,22 @@ void ExtractOptimal(const Tableau& tab, const Model& model, int nstruct,
   }
 
   sol->primal_residual = internal::ComputePrimalResidual(model, sol->values);
-
-  // Capture the basis for future warm starts — only when no artificial
-  // column stayed basic, since a warm restore has no artificial columns.
-  for (int i = 0; i < m; ++i) {
-    if (tab.basis[i] >= nstruct + m) return;
-  }
-  sol->basis.num_structural = nstruct;
-  sol->basis.num_rows = m;
-  sol->basis.basic = tab.basis;
-  sol->basis.status.resize(nstruct + m);
-  for (int j = 0; j < nstruct + m; ++j) {
-    sol->basis.status[j] = static_cast<unsigned char>(tab.status[j]);
-  }
-}
-
-// Builds the structural+slack tableau for `model`, restores the `warm`
-// basis, and re-optimizes with phase-2 pivots only. Returns false —
-// leaving *sol unusable — when the basis cannot be restored: dimension or
-// status mismatch, a nonbasic variable resting on a bound the drifted
-// model no longer has, a singular basis matrix, or a basic point the new
-// RHS/bounds make primal infeasible. The caller then solves cold.
-bool WarmAttempt(const Model& model, const SimplexOptions& opts,
-                 const Basis& warm, Solution* sol) {
-  const int nstruct = model.num_variables();
-  const int m = model.num_rows();
-  const bool maximize = model.sense() == Sense::kMaximize;
-  const int ncols = nstruct + m;
-  if (warm.num_structural != nstruct || warm.num_rows != m) return false;
-  if (static_cast<int>(warm.status.size()) != ncols) return false;
-  if (static_cast<int>(warm.basic.size()) != m) return false;
-
-  Tableau tab;
-  tab.m = m;
-  tab.ncols = ncols;
-  tab.t.assign(static_cast<size_t>(m) * ncols, 0.0);
-  std::vector<double> rhs(m);
-  for (int i = 0; i < m; ++i) {
-    const Row& row = model.row(i);
-    rhs[i] = row.rhs;
-    double* trow = tab.Row(i);
-    for (const Term& t : row.terms) trow[t.var] += t.coeff;
-    trow[nstruct + i] = 1.0;  // slack
-  }
-  tab.lo.resize(ncols);
-  tab.up.resize(ncols);
-  tab.cost.assign(ncols, 0.0);
-  for (int j = 0; j < nstruct; ++j) {
-    tab.lo[j] = model.variable(j).lower;
-    tab.up[j] = model.variable(j).upper;
-    tab.cost[j] = maximize ? -model.variable(j).objective
-                           : model.variable(j).objective;
-  }
-  for (int i = 0; i < m; ++i) {
-    const int sj = nstruct + i;
-    switch (model.row(i).type) {
-      case RowType::kLessEqual:    tab.lo[sj] = 0.0;        tab.up[sj] = kInfinity; break;
-      case RowType::kGreaterEqual: tab.lo[sj] = -kInfinity; tab.up[sj] = 0.0;       break;
-      case RowType::kEqual:        tab.lo[sj] = 0.0;        tab.up[sj] = 0.0;       break;
-    }
-  }
-
-  // Restore statuses. Reject resting positions the drifted bounds no
-  // longer support — a nonbasic variable must sit on a finite bound.
-  tab.status.resize(ncols);
-  std::vector<char> is_basic_col(ncols, 0);
-  int basic_count = 0;
-  for (int j = 0; j < ncols; ++j) {
-    if (warm.status[j] > static_cast<unsigned char>(VarStatus::kFreeAtZero)) {
-      return false;
-    }
-    const VarStatus s = static_cast<VarStatus>(warm.status[j]);
-    if (s == VarStatus::kBasic) ++basic_count;
-    if (s == VarStatus::kAtLower && tab.lo[j] == -kInfinity) return false;
-    if (s == VarStatus::kAtUpper && tab.up[j] == kInfinity) return false;
-    tab.status[j] = s;
-  }
-  if (basic_count != m) return false;
-  for (int r = 0; r < m; ++r) {
-    const int jb = warm.basic[r];
-    if (jb < 0 || jb >= ncols) return false;
-    if (tab.status[jb] != VarStatus::kBasic) return false;
-    if (is_basic_col[jb]) return false;  // duplicate basic column
-    is_basic_col[jb] = 1;
-  }
-
-  // Refactorize: Gauss-Jordan turns each basic column into an identity
-  // column, carrying the RHS along so B^{-1} b is available afterwards.
-  // Each basic column pivots on the largest eligible element among rows
-  // not yet claimed; a pivot below tolerance means the basis matrix is
-  // singular and the warm start is abandoned.
-  tab.basis.assign(m, -1);
-  std::vector<char> row_used(m, 0);
-  for (int r = 0; r < m; ++r) {
-    const int jb = warm.basic[r];
-    int prow = -1;
-    double best = opts.pivot_tol;
-    for (int i = 0; i < m; ++i) {
-      if (row_used[i]) continue;
-      const double a = std::abs(tab.Row(i)[jb]);
-      if (a > best) {
-        best = a;
-        prow = i;
-      }
-    }
-    if (prow < 0) return false;  // singular basis
-    double* p = tab.Row(prow);
-    const double inv = 1.0 / p[jb];
-    for (int c = 0; c < ncols; ++c) p[c] *= inv;
-    p[jb] = 1.0;  // exact
-    rhs[prow] *= inv;
-    for (int i = 0; i < m; ++i) {
-      if (i == prow) continue;
-      double* rowi = tab.Row(i);
-      const double f = rowi[jb];
-      if (f == 0.0) continue;
-      for (int c = 0; c < ncols; ++c) rowi[c] -= f * p[c];
-      rowi[jb] = 0.0;  // exact
-      rhs[i] -= f * rhs[prow];
-    }
-    row_used[prow] = 1;
-    tab.basis[prow] = jb;
-  }
-
-  // Basic values at the restored point: xb = B^{-1} b - (B^{-1} N) x_N.
-  tab.xb.assign(m, 0.0);
-  for (int i = 0; i < m; ++i) {
-    double v = rhs[i];
-    const double* rowi = tab.Row(i);
-    for (int j = 0; j < ncols; ++j) {
-      if (tab.status[j] == VarStatus::kBasic) continue;
-      const double nb = tab.NonbasicValue(j);
-      if (rowi[j] != 0.0 && nb != 0.0) v -= rowi[j] * nb;
-    }
-    tab.xb[i] = v;
-  }
-  // The restored basis must still be primal feasible under the new
-  // RHS/bounds; otherwise a cold solve (with its phase 1) is required.
-  for (int i = 0; i < m; ++i) {
-    const int b = tab.basis[i];
-    if (tab.xb[i] < tab.lo[b] - opts.feasibility_tol ||
-        tab.xb[i] > tab.up[b] + opts.feasibility_tol) {
-      return false;
-    }
-  }
-
-  sol->stats.rows = m;
-  sol->stats.columns = nstruct;
-  sol->stats.artificials = 0;
-  sol->warm_started = true;
-  const int default_iters = 50 * (m + ncols) + 1000;
-  const int max_iters =
-      opts.max_iterations > 0 ? opts.max_iterations : default_iters;
-  tab.RecomputeReducedCosts();
-  const SolveStatus st = Iterate(&tab, opts, max_iters,
-                                 &sol->stats.phase2_iterations,
-                                 &sol->stats.blands_activations);
-  sol->status = st;
-  if (st == SolveStatus::kOptimal) {
-    ExtractOptimal(tab, model, nstruct, m, maximize, sol);
-  }
-  return true;
-}
-
-// Drops the artificial columns from a finished tableau so it can be
-// retained for hot re-solves. Returns false (leave the tableau uncaptured)
-// when an artificial column stayed basic — the restored state would not be
-// expressible without it. Rows are compacted front-to-back; row i's
-// destination ends at i*ncols + ncols <= (i+1)*ncols', before row i+1's
-// source, so a per-row memmove is safe.
-bool CaptureTableau(Tableau* tab, int nstruct, int m) {
-  const int ncols = nstruct + m;
-  for (int i = 0; i < m; ++i) {
-    if (tab->basis[i] >= ncols) return false;
-  }
-  if (tab->ncols != ncols) {
-    for (int i = 0; i < m; ++i) {
-      std::memmove(tab->t.data() + static_cast<size_t>(i) * ncols,
-                   tab->t.data() + static_cast<size_t>(i) * tab->ncols,
-                   sizeof(double) * ncols);
-    }
-    tab->t.resize(static_cast<size_t>(m) * ncols);
-    tab->lo.resize(ncols);
-    tab->up.resize(ncols);
-    tab->cost.resize(ncols);
-    tab->status.resize(ncols);
-    tab->ncols = ncols;
-  }
-  tab->d.clear();  // recomputed on reuse
-  return true;
-}
-
-// Re-optimizes a patched/grown model directly from the retained final
-// tableau — the refactorization-free counterpart of WarmAttempt. The
-// stored rows already hold B^-1 A, so only the appended pieces need work:
-// a new column j costs one B^-1 a_j accumulation through the stored slack
-// columns (B^-1 e_i), and a new row costs one elimination pass of the old
-// basic columns. Returns false — leaving `tab` unusable, the caller must
-// discard it — when the model shrank, a resting position no longer exists,
-// or the restored point is primal infeasible under the new RHS/bounds.
-bool HotAttempt(const Model& model, const SimplexOptions& opts, Tableau* tab,
-                Solution* sol) {
-  const int nstruct = model.num_variables();
-  const int m = model.num_rows();
-  const int m_old = tab->m;
-  const int nstruct_old = tab->ncols - m_old;
-  if (nstruct < nstruct_old || m < m_old) return false;
-  const bool maximize = model.sense() == Sense::kMaximize;
-  const int ncols = nstruct + m;
-
-  // --- Widen the stored tableau to the grown model. Old structural
-  // columns keep their index; slack columns shift from nstruct_old+i to
-  // nstruct+i; appended rows enter with their slack basic. ---
-  if (nstruct != nstruct_old || m != m_old) {
-    std::vector<double> t(static_cast<size_t>(m) * ncols, 0.0);
-    for (int i = 0; i < m_old; ++i) {
-      const double* src = tab->t.data() + static_cast<size_t>(i) * tab->ncols;
-      double* dst = t.data() + static_cast<size_t>(i) * ncols;
-      std::memcpy(dst, src, sizeof(double) * nstruct_old);
-      std::memcpy(dst + nstruct, src + nstruct_old, sizeof(double) * m_old);
-    }
-    std::vector<VarStatus> status(ncols, VarStatus::kAtLower);
-    for (int j = 0; j < nstruct_old; ++j) status[j] = tab->status[j];
-    for (int i = 0; i < m_old; ++i) {
-      status[nstruct + i] = tab->status[nstruct_old + i];
-    }
-    std::vector<int> basis(m);
-    for (int i = 0; i < m_old; ++i) {
-      const int jb = tab->basis[i];
-      basis[i] = jb < nstruct_old ? jb : jb - nstruct_old + nstruct;
-    }
-    for (int i = m_old; i < m; ++i) {
-      basis[i] = nstruct + i;
-      status[nstruct + i] = VarStatus::kBasic;
-      t[static_cast<size_t>(i) * ncols + nstruct + i] = 1.0;
-    }
-    tab->t = std::move(t);
-    tab->status = std::move(status);
-    tab->basis = std::move(basis);
-    tab->m = m;
-    tab->ncols = ncols;
-    tab->xb.resize(m);
-  }
-
-  // --- Refresh bounds and costs from the (possibly drifted) model. ---
-  tab->lo.assign(ncols, 0.0);
-  tab->up.assign(ncols, 0.0);
-  tab->cost.assign(ncols, 0.0);
-  for (int j = 0; j < nstruct; ++j) {
-    const Variable& v = model.variable(j);
-    tab->lo[j] = v.lower;
-    tab->up[j] = v.upper;
-    tab->cost[j] = maximize ? -v.objective : v.objective;
-  }
-  for (int i = 0; i < m; ++i) {
-    const int sj = nstruct + i;
-    switch (model.row(i).type) {
-      case RowType::kLessEqual:    tab->lo[sj] = 0.0;        tab->up[sj] = kInfinity; break;
-      case RowType::kGreaterEqual: tab->lo[sj] = -kInfinity; tab->up[sj] = 0.0;       break;
-      case RowType::kEqual:        tab->lo[sj] = 0.0;        tab->up[sj] = 0.0;       break;
-    }
-  }
-  // Appended variables rest at the finite bound nearest zero — the cold
-  // solver's own initial choice.
-  for (int j = nstruct_old; j < nstruct; ++j) {
-    tab->status[j] = internal::InitialRestStatus(tab->lo[j], tab->up[j]);
-  }
-  // Every nonbasic resting position must still exist under the new bounds.
-  for (int j = 0; j < ncols; ++j) {
-    if (tab->status[j] == VarStatus::kAtLower && tab->lo[j] == -kInfinity) {
-      return false;
-    }
-    if (tab->status[j] == VarStatus::kAtUpper && tab->up[j] == kInfinity) {
-      return false;
-    }
-  }
-
-  // --- Appended columns: B^-1 a_j accumulated through the stored slack
-  // columns (B^-1 e_i). Pre-capture rows may only carry new-variable terms
-  // that were appended after capture (the SolveHot contract), so scanning
-  // them for terms on new variables recovers exactly the appended
-  // coefficients. The triplets are gathered first so the accumulation can
-  // sweep the tableau row-major, once. ---
-  struct NewCoeff {
-    int row, var;
-    double coeff;
-  };
-  std::vector<NewCoeff> appended;
-  for (int i = 0; i < m_old; ++i) {
-    for (const Term& term : model.row(i).terms) {
-      if (term.var >= nstruct_old) appended.push_back({i, term.var, term.coeff});
-    }
-  }
-  if (!appended.empty()) {
-    for (int r = 0; r < m_old; ++r) {
-      double* rowr = tab->Row(r);
-      for (const NewCoeff& nc : appended) {
-        const double binv = rowr[nstruct + nc.row];
-        if (binv != 0.0) rowr[nc.var] += nc.coeff * binv;
-      }
-    }
-  }
-  // --- Appended rows: raw coefficients, then eliminate the old basic
-  // columns. Each stored row has zeros in every basic column but its own,
-  // so one pass in any order zeroes them all without fill-in. ---
-  for (int i = m_old; i < m; ++i) {
-    double* rowi = tab->Row(i);
-    for (const Term& term : model.row(i).terms) rowi[term.var] += term.coeff;
-    for (int r = 0; r < m_old; ++r) {
-      const int jb = tab->basis[r];
-      const double f = rowi[jb];
-      if (f == 0.0) continue;
-      const double* rowr = tab->Row(r);
-      for (int c = 0; c < ncols; ++c) rowi[c] -= f * rowr[c];
-      rowi[jb] = 0.0;  // exact
-    }
-  }
-
-  // --- Basic values at the restored point: B^-1 b through the slack
-  // columns, minus the nonbasic resting contributions. The nonbasic
-  // resting values are gathered once so each tableau row is consumed in a
-  // single contiguous pass. ---
-  std::vector<double> rhs(m);
-  for (int r = 0; r < m; ++r) rhs[r] = model.row(r).rhs;
-  std::vector<double> rest(ncols, 0.0);
-  for (int j = 0; j < ncols; ++j) {
-    if (tab->status[j] != VarStatus::kBasic) rest[j] = tab->NonbasicValue(j);
-  }
-  for (int i = 0; i < m; ++i) {
-    const double* rowi = tab->Row(i);
-    double v = 0.0;
-    for (int r = 0; r < m; ++r) {
-      const double binv = rowi[nstruct + r];
-      if (binv != 0.0) v += rhs[r] * binv;
-    }
-    for (int j = 0; j < ncols; ++j) {
-      const double nb = rest[j];
-      if (nb != 0.0 && rowi[j] != 0.0) v -= rowi[j] * nb;
-    }
-    tab->xb[i] = v;
-  }
-  // The restored basis must still be primal feasible under the new
-  // RHS/bounds; otherwise a cold solve (with its phase 1) is required.
-  for (int i = 0; i < m; ++i) {
-    const int b = tab->basis[i];
-    if (tab->xb[i] < tab->lo[b] - opts.feasibility_tol ||
-        tab->xb[i] > tab->up[b] + opts.feasibility_tol) {
-      return false;
-    }
-  }
-
-  sol->stats.rows = m;
-  sol->stats.columns = nstruct;
-  sol->stats.artificials = 0;
-  sol->warm_started = true;
-  const int default_iters = 50 * (m + ncols) + 1000;
-  const int max_iters =
-      opts.max_iterations > 0 ? opts.max_iterations : default_iters;
-  tab->RecomputeReducedCosts();
-  const SolveStatus st = Iterate(tab, opts, max_iters,
-                                 &sol->stats.phase2_iterations,
-                                 &sol->stats.blands_activations);
-  sol->status = st;
-  if (st == SolveStatus::kOptimal) {
-    ExtractOptimal(*tab, model, nstruct, m, maximize, sol);
-  }
-  return true;
 }
 
 using internal::RecordSolveMetrics;
 
 }  // namespace
 
-TableauState::TableauState() = default;
-TableauState::~TableauState() = default;
-TableauState::TableauState(TableauState&&) noexcept = default;
-TableauState& TableauState::operator=(TableauState&&) noexcept = default;
-void TableauState::Clear() { tab_.reset(); }
-
 Result<Solution> SimplexSolver::Solve(const Model& model) const {
   SimplexAlgorithm algo = options_.algorithm;
   if (algo == SimplexAlgorithm::kAuto) {
     algo = internal::ResolveAutoAlgorithm(model);
   }
-  if (algo == SimplexAlgorithm::kDense) {
-    return SolveImpl(model, nullptr);
-  }
-#ifdef PROSPECTOR_LP_CROSSCHECK
-  return SolveRevised(model, true);
-#else
-  return SolveRevised(model, options_.cross_check);
-#endif
+  if (algo == SimplexAlgorithm::kDense) return SolveDense(model);
+  return SolveRevised(model);
 }
 
 Result<Solution> SimplexSolver::SolveDense(const Model& model) const {
-  return SolveImpl(model, nullptr);
-}
-
-Result<Solution> SimplexSolver::SolveImpl(const Model& model,
-                                          TableauState* capture) const {
   PROSPECTOR_SPAN("lp.solve");
   PROSPECTOR_RETURN_IF_ERROR(model.Validate());
 
@@ -869,164 +477,7 @@ Result<Solution> SimplexSolver::SolveImpl(const Model& model,
   if (st != SolveStatus::kOptimal) return sol;
 
   ExtractOptimal(tab, model, nstruct, m, maximize, &sol);
-  if (capture != nullptr && CaptureTableau(&tab, nstruct, m)) {
-    capture->tab_ = std::make_unique<Tableau>(std::move(tab));
-  }
   return sol;
-}
-
-Result<Solution> SimplexSolver::SolveWarm(const Model& model,
-                                          const Basis& warm,
-                                          bool cross_check) const {
-  if (warm.empty()) return Solve(model);
-  PROSPECTOR_SPAN("lp.solve_warm");
-  PROSPECTOR_RETURN_IF_ERROR(model.Validate());
-  PROSPECTOR_RETURN_IF_ERROR(
-      internal::CheckTableauBudget(model, options_.max_tableau_bytes));
-
-  Solution sol;
-  // An iteration-limited warm run is also retried cold: the fresh crash
-  // basis may converge where the stale one wandered.
-  if (!WarmAttempt(model, options_, warm, &sol) ||
-      sol.status == SolveStatus::kIterationLimit) {
-    PROSPECTOR_COUNTER_ADD("lp.warm_fallbacks", 1);
-    return Solve(model);
-  }
-  PROSPECTOR_COUNTER_ADD("lp.warm_solves", 1);
-  RecordSolveMetrics(sol);
-  if (!cross_check) return sol;
-
-  auto cold = Solve(model);
-  if (!cold.ok()) return cold;
-  const Solution& c = cold.value();
-  const double scale =
-      std::max({1.0, std::abs(c.objective), std::abs(sol.objective)});
-  const bool status_match = c.status == sol.status;
-  const bool objective_match =
-      sol.status != SolveStatus::kOptimal ||
-      std::abs(c.objective - sol.objective) <= 1e-6 * scale;
-  if (!status_match || !objective_match) {
-    std::fprintf(stderr,
-                 "lp: warm-start cross-check failed: warm %s obj=%.12g vs "
-                 "cold %s obj=%.12g (rows=%d cols=%d)\n",
-                 ToString(sol.status), sol.objective, ToString(c.status),
-                 c.objective, model.num_rows(), model.num_variables());
-    std::abort();
-  }
-  // Return the cold solution so every downstream decision is bit-identical
-  // to a pipeline that never warm-started; the flag still records that a
-  // warm start ran (and was verified).
-  Solution out = std::move(cold.value());
-  out.warm_started = true;
-  return out;
-}
-
-Result<Solution> SimplexSolver::SolveHot(const Model& model,
-                                         TableauState* state,
-                                         bool cross_check) const {
-  if (state == nullptr) return Solve(model);
-  PROSPECTOR_SPAN("lp.solve_hot");
-  PROSPECTOR_RETURN_IF_ERROR(model.Validate());
-  PROSPECTOR_RETURN_IF_ERROR(
-      internal::CheckTableauBudget(model, options_.max_tableau_bytes));
-
-  Solution sol;
-  // An iteration-limited hot run is also retried cold: the fresh crash
-  // basis may converge where the stale one wandered.
-  const bool hot_ok =
-      !state->empty() &&
-      HotAttempt(model, options_, state->tab_.get(), &sol) &&
-      sol.status != SolveStatus::kIterationLimit;
-  if (!hot_ok) {
-    if (!state->empty()) PROSPECTOR_COUNTER_ADD("lp.warm_fallbacks", 1);
-    state->Clear();
-    auto cold = SolveImpl(model, state);  // dense: captures the tableau
-    SimplexAlgorithm algo = options_.algorithm;
-    if (algo == SimplexAlgorithm::kAuto) {
-      algo = internal::ResolveAutoAlgorithm(model);
-    }
-    if (algo == SimplexAlgorithm::kDense || !cold.ok()) {
-      return cold;
-    }
-    // The returned solution must be the one a workspace-less pipeline
-    // (Solve(), i.e. the revised engine) would produce — degenerate LPs
-    // have multiple optimal vertices and the two engines may round
-    // different ones — so downstream stays bit-identical either way. The
-    // dense run above still seeds the retained tableau for hot resumes.
-    return Solve(model);
-  }
-  PROSPECTOR_COUNTER_ADD("lp.warm_solves", 1);
-  RecordSolveMetrics(sol);
-  if (!cross_check) return sol;
-
-  auto cold = Solve(model);
-  if (!cold.ok()) return cold;
-  const Solution& c = cold.value();
-  const double scale =
-      std::max({1.0, std::abs(c.objective), std::abs(sol.objective)});
-  const bool status_match = c.status == sol.status;
-  const bool objective_match =
-      sol.status != SolveStatus::kOptimal ||
-      std::abs(c.objective - sol.objective) <= 1e-6 * scale;
-  if (!status_match || !objective_match) {
-    std::fprintf(stderr,
-                 "lp: hot-start cross-check failed: hot %s obj=%.12g vs "
-                 "cold %s obj=%.12g (rows=%d cols=%d)\n",
-                 ToString(sol.status), sol.objective, ToString(c.status),
-                 c.objective, model.num_rows(), model.num_variables());
-    std::abort();
-  }
-  // Return the cold solution so every downstream decision is bit-identical
-  // to a pipeline that never hot-started; the retained tableau (already
-  // advanced to the hot optimum) still serves the next call.
-  Solution out = std::move(cold.value());
-  out.warm_started = true;
-  return out;
-}
-
-Basis ExtendBasis(const Basis& basis, const Model& model) {
-  Basis out;
-  const int nstruct = model.num_variables();
-  const int m = model.num_rows();
-  if (basis.empty() || basis.num_structural > nstruct ||
-      basis.num_rows > m) {
-    return out;  // no usable prefix: caller solves cold
-  }
-  if (static_cast<int>(basis.status.size()) !=
-          basis.num_structural + basis.num_rows ||
-      static_cast<int>(basis.basic.size()) != basis.num_rows) {
-    return out;
-  }
-  out.num_structural = nstruct;
-  out.num_rows = m;
-  out.status.assign(nstruct + m,
-                    static_cast<unsigned char>(VarStatus::kAtLower));
-  for (int j = 0; j < basis.num_structural; ++j) {
-    out.status[j] = basis.status[j];
-  }
-  // Appended variables rest at the finite bound nearest zero — the cold
-  // solver's own initial choice.
-  for (int j = basis.num_structural; j < nstruct; ++j) {
-    const Variable& v = model.variable(j);
-    out.status[j] = static_cast<unsigned char>(
-        internal::InitialRestStatus(v.lower, v.upper));
-  }
-  // Slack statuses move with the wider structural block.
-  for (int i = 0; i < basis.num_rows; ++i) {
-    out.status[nstruct + i] = basis.status[basis.num_structural + i];
-  }
-  out.basic.resize(m);
-  for (int r = 0; r < basis.num_rows; ++r) {
-    const int jb = basis.basic[r];
-    out.basic[r] =
-        jb < basis.num_structural ? jb : jb - basis.num_structural + nstruct;
-  }
-  // Appended rows enter with their slack basic.
-  for (int i = basis.num_rows; i < m; ++i) {
-    out.basic[i] = nstruct + i;
-    out.status[nstruct + i] = static_cast<unsigned char>(VarStatus::kBasic);
-  }
-  return out;
 }
 
 }  // namespace lp

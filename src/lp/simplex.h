@@ -1,7 +1,6 @@
 #ifndef PROSPECTOR_LP_SIMPLEX_H_
 #define PROSPECTOR_LP_SIMPLEX_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,10 +9,6 @@
 
 namespace prospector {
 namespace lp {
-
-namespace internal {
-struct Tableau;
-}  // namespace internal
 
 /// Termination state of a solve.
 enum class SolveStatus {
@@ -59,46 +54,6 @@ struct SolveStats {
   }
 };
 
-/// A snapshot of the simplex basis at optimality, reusable to warm-start a
-/// later solve of a drifted model (same constraint matrix; objective,
-/// bounds, and RHS may have changed). `status` covers structural variables
-/// then one slack per row, using the solver's internal encoding: 0 basic,
-/// 1 at lower bound, 2 at upper bound, 3 free-at-zero. `basic` holds the
-/// column basic in each row. A default-constructed Basis is "no basis":
-/// SolveWarm treats it as a request for a cold solve.
-struct Basis {
-  int num_structural = 0;
-  int num_rows = 0;
-  std::vector<int> basic;             ///< size num_rows
-  std::vector<unsigned char> status;  ///< size num_structural + num_rows
-  bool empty() const { return basic.empty(); }
-};
-
-/// Retained dense solver state: the final tableau (B^-1 A, basis, and
-/// variable statuses) of the last optimal solve. SolveHot re-optimizes a
-/// patched or grown model directly from it — no refactorization at all —
-/// where a basis-only warm start (SolveWarm) must first rebuild B^-1 with
-/// an O(m^2 · n) Gauss-Jordan pass that often costs as much as the cold
-/// solve it replaces. Move-only; treat it as an opaque cache slot tied to
-/// one model lineage. A default-constructed (or Clear()-ed) state makes
-/// SolveHot solve cold and repopulate it.
-class TableauState {
- public:
-  TableauState();
-  ~TableauState();
-  TableauState(TableauState&&) noexcept;
-  TableauState& operator=(TableauState&&) noexcept;
-  TableauState(const TableauState&) = delete;
-  TableauState& operator=(const TableauState&) = delete;
-
-  bool empty() const { return tab_ == nullptr; }
-  void Clear();
-
- private:
-  friend class SimplexSolver;
-  std::unique_ptr<internal::Tableau> tab_;
-};
-
 /// Solver output. `values` holds the primal point for the model's
 /// structural variables (only meaningful when status == kOptimal).
 struct Solution {
@@ -115,16 +70,9 @@ struct Solution {
   /// Max bound/row violation of the returned point, as re-checked against
   /// the original model (a numerical health indicator).
   double primal_residual = 0.0;
-  /// Final basis, captured when the solve ended optimal with no artificial
-  /// column left basic (empty otherwise). Feed to SolveWarm to
-  /// re-optimize a patched model from here.
-  Basis basis;
-  /// True when this solution came from a successful warm start (basis
-  /// restored, phase-2 pivots only).
-  bool warm_started = false;
 };
 
-/// Which engine a cold Solve() runs. Both implement the same two-phase
+/// Which engine Solve() runs. Both implement the same two-phase
 /// bounded-variable method with the same pricing, ratio-test, and
 /// anti-cycling rules; they differ only in how the basis inverse is
 /// carried (sparse product-form factorization vs explicit dense tableau).
@@ -160,25 +108,19 @@ struct SimplexOptions {
   /// larger than this. Enforced for every algorithm — the dense oracle
   /// must stay runnable so a cross-check can always be taken.
   size_t max_tableau_bytes = size_t{2} * 1024 * 1024 * 1024;
-  /// Engine for cold Solve() calls.
+  /// Engine for Solve() calls.
   SimplexAlgorithm algorithm = SimplexAlgorithm::kAuto;
   /// Revised simplex: basis pivots between product-form refactorizations.
   /// The eta file is also rebuilt early when its fill-in outgrows the
   /// basis dimension (see revised_simplex.cc).
   int refactor_interval = 64;
-  /// Verify every revised Solve() against the dense oracle and return the
-  /// *dense* solution, making downstream decisions bit-identical to a
-  /// dense-only pipeline (semantics mirror SolveWarm/SolveHot
-  /// cross_check: a status or objective mismatch is a solver bug and
-  /// aborts with a diagnostic). Building with -DPROSPECTOR_LP_CROSSCHECK=ON
-  /// forces this on for every solve in the process.
-  bool cross_check = false;
 };
 
 /// Two-phase primal simplex with bounded variables, with two engines: a
-/// sparse revised simplex (the default cold path) and a dense tableau
-/// (the always-available oracle, and the only engine behind
-/// SolveWarm/SolveHot, whose retained state is the dense tableau itself).
+/// sparse revised simplex (kAuto's choice for planner LPs) and a dense
+/// tableau (kAuto's choice for tiny or dense models, and the oracle that
+/// tests and the -DPROSPECTOR_LP_CROSSCHECK=ON build check the revised
+/// engine against).
 ///
 /// Handles general models: {<=, >=, =} rows, variable bounds including
 /// infinite and fixed ranges, free variables, minimize or maximize.
@@ -205,7 +147,7 @@ class SimplexSolver {
 
   /// The dense-tableau oracle, callable directly regardless of
   /// options().algorithm — this is the original solver and the reference
-  /// every other path (warm, hot, revised) is checked against.
+  /// the revised engine is checked against.
   Result<Solution> SolveDense(const Model& model) const;
 
   /// The sparse revised simplex: product-form factorized basis with
@@ -214,63 +156,17 @@ class SimplexSolver {
   /// as the dense engine. Numerical breakdown (a singular refactorization)
   /// falls back to SolveDense, so the result is always well-defined.
   ///
-  /// With `cross_check` set (or in a -DPROSPECTOR_LP_CROSSCHECK=ON build),
-  /// the model is additionally solved dense; the two runs must agree on
-  /// status and objective (a mismatch is a solver bug and aborts the
-  /// process with a diagnostic) and the *dense* solution is returned —
-  /// making every downstream decision bit-identical to a dense-only
-  /// pipeline, at the price of the speedup.
-  Result<Solution> SolveRevised(const Model& model,
-                                bool cross_check = false) const;
-
-  /// Solves the model starting from `warm`, a basis captured from a prior
-  /// solve of a structurally identical model (same constraint matrix;
-  /// objective, bounds, and RHS may have drifted — the pattern produced by
-  /// Model::SetObjective/SetBounds/SetRhs). Falls back to Solve() when the
-  /// basis does not fit the model, is singular, or is no longer primal
-  /// feasible after the drift, so the result is always well-defined.
-  ///
-  /// With `cross_check` set, the model is additionally solved cold; the
-  /// two runs must agree on status and objective (a mismatch is a solver
-  /// bug and aborts the process with a diagnostic) and the *cold* solution
-  /// is returned — making every downstream decision bit-identical to a
-  /// pipeline that never warm-started, at the price of the speedup.
-  Result<Solution> SolveWarm(const Model& model, const Basis& warm,
-                             bool cross_check = false) const;
-
-  /// Solves the model hot from `state`, the retained tableau of a prior
-  /// optimal solve of the same model lineage, and stores the new final
-  /// tableau back into `state` for the next call. An empty state (first
-  /// call), a shrunken model, a resting position the drifted bounds no
-  /// longer support, or a restored point the new RHS/bounds make primal
-  /// infeasible all fall back to a cold solve that repopulates the state —
-  /// the result is always well-defined.
-  ///
-  /// Supported drift between calls, relative to the model at capture:
-  /// objective, bounds, and RHS changes; appended variables; appended
-  /// rows; and new terms on pre-existing rows *provided those terms
-  /// reference appended variables* (the pattern Model's patching API plus
-  /// AddRowTerm produce for incremental sample blocks). Editing a
-  /// pre-capture coefficient of a pre-capture variable is NOT supported
-  /// and will be caught by `cross_check` (semantics identical to
-  /// SolveWarm: verify against a cold solve, abort on mismatch, return the
-  /// cold solution).
-  Result<Solution> SolveHot(const Model& model, TableauState* state,
-                            bool cross_check = false) const;
+  /// In a -DPROSPECTOR_LP_CROSSCHECK=ON build the model is additionally
+  /// solved dense; the two runs must agree on status and objective (a
+  /// mismatch is a solver bug and aborts the process with a diagnostic)
+  /// and the *dense* solution is returned — making every downstream
+  /// decision bit-identical to a dense-only pipeline, at the price of the
+  /// speedup.
+  Result<Solution> SolveRevised(const Model& model) const;
 
  private:
-  Result<Solution> SolveImpl(const Model& model, TableauState* capture) const;
-
   SimplexOptions options_;
 };
-
-/// Adapts a basis to a model grown by appended variables and/or appended
-/// rows (how the incremental planners extend a cached LP with new sample
-/// blocks): existing assignments carry over, appended rows enter with
-/// their slack basic, appended variables rest at the finite bound nearest
-/// zero — the cold solver's own initial choice. Returns an empty basis
-/// (forcing a cold solve) when `basis` is not a prefix of the new model.
-Basis ExtendBasis(const Basis& basis, const Model& model);
 
 }  // namespace lp
 }  // namespace prospector

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -339,6 +340,38 @@ TEST(QueryEngineTest, RetireThenReadmitNeverAliasesState) {
     ASSERT_TRUE(r.ok());
     for (const auto& qr : r->per_query) EXPECT_NE(qr.query_id, victim);
   }
+}
+
+TEST(QueryEngineTest, RetiredQueriesReleaseTheirCachedLps) {
+  // Churn: each round admits an LP query, ticks until it has planned and
+  // audited, then retires the oldest. A query caches at most one LP per
+  // planner kind under its own id (here its planner's and the audit's
+  // proof LP), so the workspace must hold entries for standing queries
+  // only, not for every query ever admitted.
+  World w(21, 30);
+  QueryEngineOptions opts;
+  opts.bootstrap_sweeps = 3;
+  QueryEngine engine(&w.topo, {}, {}, opts, 23);
+  Rng rng(24);
+  std::deque<int> standing;
+  for (int round = 0; round < 12; ++round) {
+    QuerySpec spec;
+    spec.k = 4;
+    spec.planner = round % 2 == 0 ? PlannerChoice::kLpFilter
+                                  : PlannerChoice::kLpNoFilter;
+    spec.audit_every = 2;
+    standing.push_back(engine.AddQuery(spec));
+    for (int t = 0; t < 4; ++t) {
+      ASSERT_TRUE(engine.Tick(w.field.Sample(&rng)).ok());
+    }
+    if (standing.size() > 2) {
+      ASSERT_TRUE(engine.RemoveQuery(standing.front()));
+      standing.pop_front();
+    }
+    EXPECT_LE(engine.workspace().num_lp_entries(), 2 * standing.size())
+        << "round " << round;
+  }
+  EXPECT_GT(engine.workspace().num_lp_entries(), 0u);
 }
 
 TEST(QueryEngineTest, PerQueryAuditsRunAlongsideMergedQueries) {

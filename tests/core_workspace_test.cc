@@ -1,10 +1,9 @@
 // Contract of the incremental planning workspace: threading a
 // PlanningWorkspace through any planner changes how much work planning
 // costs, never what plan comes out. Every planner is swept across
-// sliding sample windows and topology rebuilds in three modes — no
-// workspace (the from-scratch path), workspace in trust mode, workspace
-// with the warm-start cross-check — and all three must agree bit for bit,
-// serially and pooled. Plus the cache-policy units: lease collisions,
+// sliding sample windows and topology rebuilds with and without a
+// workspace, and both must agree bit for bit, serially and pooled. Plus
+// the cache-policy units: lease collisions, eviction by lease key,
 // PlanManager's steady-state short-circuit, and counter surfacing.
 
 #include <gtest/gtest.h>
@@ -93,30 +92,18 @@ double LastLpObjective(Planner* planner, int which) {
   }
 }
 
-// The tentpole acceptance sweep: every planner, across a sliding window
-// and a topology rebuild, plans bit-identically with no workspace and
-// with a default (cross-checking) workspace. A trust-mode workspace
-// (cross_check off) rides along: it must reach the same LP objective,
-// but a degenerate LP may round an alternate optimal vertex into a
-// different plan, so only the objective is compared there.
+// The acceptance sweep: every planner, across a sliding window and a
+// topology rebuild, plans bit-identically with no workspace and with one
+// (cached models patched, tombstoned, grown, and solved once per plan).
 void RunIdentitySweep(int threads) {
   for (int which = 0; which < 4; ++which) {
     Instance inst = MakeInstance(36, 6, 10, 90 + which, /*window=*/10);
 
-    WorkspaceOptions trust;
-    trust.cross_check = false;
-    WorkspaceOptions checked;  // the default: cross-check on
-    PlanningWorkspace ws_trust(trust);
-    PlanningWorkspace ws_checked(checked);
-
+    PlanningWorkspace ws;
     auto bare_planner = MakePlanner(which, threads);
-    auto trust_planner = MakePlanner(which, threads);
-    auto checked_planner = MakePlanner(which, threads);
-
-    PlannerContext trust_ctx = inst.ctx;
-    trust_ctx.workspace = &ws_trust;
-    PlannerContext checked_ctx = inst.ctx;
-    checked_ctx.workspace = &ws_checked;
+    auto ws_planner = MakePlanner(which, threads);
+    PlannerContext ws_ctx = inst.ctx;
+    ws_ctx.workspace = &ws;
 
     // Proof plans need the per-edge floor covered; the others get a mid
     // budget so rounding and repair paths all engage.
@@ -126,23 +113,14 @@ void RunIdentitySweep(int threads) {
 
     auto plan_all = [&](const std::string& where) {
       auto a = bare_planner->Plan(inst.ctx, inst.samples, request);
-      auto b = trust_planner->Plan(trust_ctx, inst.samples, request);
-      auto c = checked_planner->Plan(checked_ctx, inst.samples, request);
+      auto b = ws_planner->Plan(ws_ctx, inst.samples, request);
       ASSERT_TRUE(a.ok()) << where << ": " << a.status().ToString();
       ASSERT_TRUE(b.ok()) << where << ": " << b.status().ToString();
-      ASSERT_TRUE(c.ok()) << where << ": " << c.status().ToString();
-      ExpectSamePlan(*a, *c, where + " (cross-check), planner " +
-                                 bare_planner->name());
-      if (which == 0) {
-        // No LP: greedy through a workspace is deterministic outright.
-        ExpectSamePlan(*a, *b, where + " (trust), planner " +
-                                   bare_planner->name());
-      } else {
-        const double cold = LastLpObjective(bare_planner.get(), which);
-        const double warm = LastLpObjective(trust_planner.get(), which);
-        EXPECT_NEAR(warm, cold, 1e-6 * (1.0 + std::abs(cold)))
-            << where << " (trust), planner " << bare_planner->name();
-      }
+      ExpectSamePlan(*a, *b, where + ", planner " + bare_planner->name());
+      const double cold = LastLpObjective(bare_planner.get(), which);
+      EXPECT_NEAR(LastLpObjective(ws_planner.get(), which), cold,
+                  1e-6 * (1.0 + std::abs(cold)))
+          << where << ", planner " << bare_planner->name();
     };
 
     plan_all("cold");
@@ -172,8 +150,8 @@ void RunIdentitySweep(int threads) {
     plan_all("after rebuild");
     plan_all("steady state on rebuilt tree");
 
-    // The workspaces must actually have been exercised, not bypassed.
-    const WorkspaceCounters t = ws_trust.counters();
+    // The workspace must actually have been exercised, not bypassed.
+    const WorkspaceCounters t = ws.counters();
     EXPECT_GT(t.topo_hits + t.topo_misses, 0)
         << bare_planner->name() << " never touched the topology caches";
     if (which != 0) {  // greedy has no LP
@@ -194,12 +172,11 @@ TEST(WorkspaceIdentityTest, AllPlannersBitIdenticalPooled) {
 }
 
 // The acceptance gate for the revised simplex engine: every planner run
-// with the dense oracle forced and with the revised engine forced (per
-// solve cross-check on, so any status/objective divergence aborts inside
-// the solver) must reach the same LP objective. In a
-// -DPROSPECTOR_LP_CROSSCHECK=ON build, where every revised solve returns
-// the dense oracle's solution, the plans themselves are bit-identical —
-// a degenerate LP cannot round an alternate vertex into a different plan.
+// with the dense oracle forced and with the revised engine forced must
+// reach the same LP objective. In a -DPROSPECTOR_LP_CROSSCHECK=ON build,
+// where every revised solve also runs the dense oracle and returns its
+// solution, the plans themselves are bit-identical — a degenerate LP
+// cannot round an alternate vertex into a different plan.
 TEST(WorkspaceIdentityTest, PlansAgreeAcrossSimplexEnginesUnderCrossCheck) {
   for (int which = 0; which < 4; ++which) {
     Instance inst = MakeInstance(40, 6, 12, 400 + which);
@@ -208,7 +185,6 @@ TEST(WorkspaceIdentityTest, PlansAgreeAcrossSimplexEnginesUnderCrossCheck) {
     dense_opts.algorithm = lp::SimplexAlgorithm::kDense;
     lp::SimplexOptions revised_opts;
     revised_opts.algorithm = lp::SimplexAlgorithm::kRevised;
-    revised_opts.cross_check = true;
 
     auto dense_planner = MakePlanner(which, /*threads=*/0, dense_opts);
     auto revised_planner = MakePlanner(which, /*threads=*/0, revised_opts);
@@ -289,6 +265,19 @@ TEST(WorkspaceTest, LeaseCollisionFallsBackToThrowawayEntry) {
   auto other_key = ws.AcquireLp(LpKind::kNoFilter, 1);
   EXPECT_FALSE(other_kind.get()->built);
   EXPECT_FALSE(other_key.get()->built);
+}
+
+TEST(WorkspaceTest, DropLpsEvictsEveryKindUnderOneKey) {
+  PlanningWorkspace ws;
+  for (LpKind kind : {LpKind::kNoFilter, LpKind::kFilter, LpKind::kProof}) {
+    for (int key : {7, 8}) ws.AcquireLp(kind, key).get()->built = true;
+  }
+  EXPECT_EQ(ws.num_lp_entries(), 6u);
+
+  ws.DropLps(7);
+  EXPECT_EQ(ws.num_lp_entries(), 3u);
+  EXPECT_FALSE(ws.AcquireLp(LpKind::kFilter, 7).get()->built);
+  EXPECT_TRUE(ws.AcquireLp(LpKind::kFilter, 8).get()->built);
 }
 
 TEST(WorkspaceTest, ClearDropsCachesAndInFlightLeases) {

@@ -207,11 +207,11 @@ TEST(SimplexTest, DegenerateCyclingModelTerminatesUnderBothEngines) {
 }
 
 TEST(SimplexTest, RevisedCrossCheckMatchesDenseOnRandomLps) {
-  // cross_check makes every revised solve also run the dense oracle and
-  // abort on divergence — a successful Solve() IS the agreement check.
-  // The objectives are additionally compared here, and in a
-  // -DPROSPECTOR_LP_CROSSCHECK=ON build the returned solution must be the
-  // dense oracle's, bit for bit.
+  // Each trial is solved by a dense and by a revised solver, and the two
+  // must reach the same status and objective. In a
+  // -DPROSPECTOR_LP_CROSSCHECK=ON build the revised solve also runs the
+  // dense oracle itself (aborting on divergence) and returns the dense
+  // solution, so there the two results must agree bit for bit.
   Rng rng(0x5ca1e);
   for (int trial = 0; trial < 12; ++trial) {
     Model m;
@@ -232,22 +232,19 @@ TEST(SimplexTest, RevisedCrossCheckMatchesDenseOnRandomLps) {
     }
     SimplexOptions dense_opts;
     dense_opts.algorithm = SimplexAlgorithm::kDense;
-    SimplexOptions checked_opts;
-    checked_opts.algorithm = SimplexAlgorithm::kRevised;
-    checked_opts.cross_check = true;
+    SimplexOptions revised_opts;
+    revised_opts.algorithm = SimplexAlgorithm::kRevised;
     Solution dense = MustSolve(m, dense_opts);
-    Solution checked = MustSolve(m, checked_opts);
-    ASSERT_EQ(checked.status, dense.status) << "trial=" << trial;
+    Solution revised = MustSolve(m, revised_opts);
+    ASSERT_EQ(revised.status, dense.status) << "trial=" << trial;
     ASSERT_EQ(dense.status, SolveStatus::kOptimal) << "trial=" << trial;
-    EXPECT_NEAR(checked.objective, dense.objective,
+    EXPECT_NEAR(revised.objective, dense.objective,
                 1e-7 * (1.0 + std::fabs(dense.objective)))
         << "trial=" << trial;
+    EXPECT_TRUE(m.IsFeasible(revised.values, 1e-6)) << "trial=" << trial;
 #ifdef PROSPECTOR_LP_CROSSCHECK
-    ASSERT_EQ(checked.values.size(), dense.values.size());
-    for (size_t i = 0; i < dense.values.size(); ++i) {
-      EXPECT_EQ(checked.values[i], dense.values[i])
-          << "trial=" << trial << " var=" << i;
-    }
+    EXPECT_EQ(revised.values, dense.values) << "trial=" << trial;
+    EXPECT_EQ(revised.objective, dense.objective) << "trial=" << trial;
 #endif
   }
 }
@@ -396,10 +393,16 @@ TEST_P(TwoVarVertexTest, MatchesVertexEnumeration) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TwoVarVertexTest, ::testing::Range(1, 40));
 
-// -------- Warm starts: re-solving a drifted model from the previous
-// optimal basis must reach the cold objective. --------
+// -------- Cached-model reuse: the planning workspace keeps an LP alive
+// across epochs, patches its objective weights and RHS in place, appends
+// new sample blocks at the end, and tombstones departed blocks by zeroing
+// their objective weights, then solves the patched model. These
+// properties are what make that reuse exact: the patched model reaches
+// the optimum of the program a from-scratch build would solve. --------
 
-// A random bounded maximization LP with a guaranteed feasible region.
+// A random bounded maximization LP with a guaranteed feasible region. All
+// coefficients are positive on <= rows with positive RHS, like the
+// planners' programs, so a weightless variable can always drop to zero.
 Model RandomLp(Rng* rng, int nvars, int nrows) {
   Model m;
   m.SetSense(Sense::kMaximize);
@@ -419,140 +422,81 @@ Model RandomLp(Rng* rng, int nvars, int nrows) {
   return m;
 }
 
+// `m` rebuilt from scratch over the variables `keep` lists, in that order
+// (dropped variables vanish from every row).
+Model Rebuild(const Model& m, const std::vector<int>& keep) {
+  Model out;
+  out.SetSense(m.sense());
+  std::vector<int> index(m.num_variables(), -1);
+  for (int v : keep) {
+    const Variable& var = m.variable(v);
+    index[v] = out.AddVariable(var.lower, var.upper, var.objective);
+  }
+  for (const Row& row : m.rows()) {
+    std::vector<Term> terms;
+    for (const Term& t : row.terms) {
+      if (index[t.var] >= 0) terms.push_back({index[t.var], t.coeff});
+    }
+    out.AddRow(row.type, row.rhs, std::move(terms));
+  }
+  return out;
+}
+
+// "Warm" here means starting a replan from a cached model, not from a
+// simplex basis: every patched model is solved from scratch.
 class WarmStartPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(WarmStartPropertyTest, DriftedObjectiveAndRhsReachColdObjective) {
   Rng rng(7000 + GetParam());
   Model m = RandomLp(&rng, 6 + GetParam() % 5, 4 + GetParam() % 4);
-  SimplexSolver solver;
-  Solution first = MustSolve(m);
-  ASSERT_EQ(first.status, SolveStatus::kOptimal);
-  ASSERT_FALSE(first.basis.empty());
+  ASSERT_EQ(MustSolve(m).status, SolveStatus::kOptimal);
 
-  // Drift every objective coefficient and RHS a little — the incremental
-  // planners' steady-state patch — and re-solve warm and cold.
+  // Drift every objective coefficient and RHS in place — the incremental
+  // planners' steady-state patch — and compare with a from-scratch build
+  // whose columns come in reverse order, as a cached model's appended
+  // blocks need not follow a rebuild's order.
   for (int i = 0; i < m.num_variables(); ++i) {
     m.SetObjective(i, m.variable(i).objective + rng.Uniform(-0.3, 0.3));
   }
   for (int r = 0; r < m.num_rows(); ++r) {
     m.SetRhs(r, m.row(r).rhs + rng.Uniform(0.0, 0.5));
   }
-  auto warm = solver.SolveWarm(m, first.basis);
-  Solution cold = MustSolve(m);
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  ASSERT_EQ(warm->status, cold.status);
+  std::vector<int> reversed(m.num_variables());
+  for (int i = 0; i < m.num_variables(); ++i) {
+    reversed[i] = m.num_variables() - 1 - i;
+  }
+  const Solution patched = MustSolve(m);
+  const Solution cold = MustSolve(Rebuild(m, reversed));
+  ASSERT_EQ(patched.status, cold.status);
   if (cold.status == SolveStatus::kOptimal) {
-    EXPECT_NEAR(warm->objective, cold.objective,
+    EXPECT_NEAR(patched.objective, cold.objective,
                 1e-6 * (1.0 + std::abs(cold.objective)));
-    EXPECT_TRUE(m.IsFeasible(warm->values, 1e-6));
+    EXPECT_TRUE(m.IsFeasible(patched.values, 1e-6));
   }
 }
 
 TEST_P(WarmStartPropertyTest, TombstonedVariablesReachColdObjective) {
   Rng rng(8000 + GetParam());
   Model m = RandomLp(&rng, 8, 5);
-  SimplexSolver solver;
-  Solution first = MustSolve(m);
-  ASSERT_EQ(first.status, SolveStatus::kOptimal);
+  ASSERT_EQ(MustSolve(m).status, SolveStatus::kOptimal);
 
-  // Retire two variables the way cached LPs tombstone dead sample blocks.
-  m.SetBounds(1, 0.0, 0.0);
-  m.SetBounds(4, 0.0, 0.0);
-  auto warm = solver.SolveWarm(m, first.basis);
-  Solution cold = MustSolve(m);
-  ASSERT_TRUE(warm.ok());
-  ASSERT_EQ(warm->status, cold.status);
+  // Retire two variables the way cached LPs tombstone dead sample blocks
+  // (objective weight zeroed, bounds and rows kept); the optimum must be
+  // the one of a rebuild without them.
+  m.SetObjective(1, 0.0);
+  m.SetObjective(4, 0.0);
+  const Solution tombstoned = MustSolve(m);
+  const Solution cold = MustSolve(Rebuild(m, {0, 2, 3, 5, 6, 7}));
+  ASSERT_EQ(tombstoned.status, cold.status);
   if (cold.status == SolveStatus::kOptimal) {
-    EXPECT_NEAR(warm->objective, cold.objective,
+    EXPECT_NEAR(tombstoned.objective, cold.objective,
                 1e-6 * (1.0 + std::abs(cold.objective)));
-    EXPECT_NEAR(warm->values[1], 0.0, 1e-9);
-    EXPECT_NEAR(warm->values[4], 0.0, 1e-9);
+    EXPECT_TRUE(m.IsFeasible(tombstoned.values, 1e-6));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WarmStartPropertyTest,
                          ::testing::Range(1, 30));
-
-TEST(WarmStartTest, CrossCheckReturnsTheColdSolutionBitForBit) {
-  Rng rng(555);
-  Model m = RandomLp(&rng, 7, 5);
-  SimplexSolver solver;
-  Solution first = MustSolve(m);
-  ASSERT_EQ(first.status, SolveStatus::kOptimal);
-  m.SetRhs(0, m.row(0).rhs * 0.8);
-
-  auto checked = solver.SolveWarm(m, first.basis, /*cross_check=*/true);
-  Solution cold = MustSolve(m);
-  ASSERT_TRUE(checked.ok());
-  EXPECT_TRUE(checked->warm_started);
-  // Not just the same objective: the identical vertex, to the last bit.
-  EXPECT_EQ(checked->values, cold.values);
-  EXPECT_EQ(checked->objective, cold.objective);
-}
-
-TEST(WarmStartTest, EmptyBasisFallsBackToColdSolve) {
-  Rng rng(556);
-  Model m = RandomLp(&rng, 5, 4);
-  SimplexSolver solver;
-  auto s = solver.SolveWarm(m, Basis{});
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(s->status, SolveStatus::kOptimal);
-  EXPECT_FALSE(s->warm_started);
-}
-
-TEST(WarmStartTest, MismatchedBasisDimensionsFallBackToColdSolve) {
-  Rng rng(557);
-  Model small = RandomLp(&rng, 4, 3);
-  Model large = RandomLp(&rng, 9, 6);
-  SimplexSolver solver;
-  Solution s_small = MustSolve(small);
-  ASSERT_FALSE(s_small.basis.empty());
-
-  auto s = solver.SolveWarm(large, s_small.basis);
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(s->status, SolveStatus::kOptimal);
-  EXPECT_FALSE(s->warm_started);  // rejected, solved cold
-  Solution cold = MustSolve(large);
-  EXPECT_EQ(s->objective, cold.objective);
-}
-
-TEST(WarmStartTest, ExtendBasisCarriesAnOldBasisOntoAGrownModel) {
-  Rng rng(558);
-  Model m = RandomLp(&rng, 6, 4);
-  SimplexSolver solver;
-  Solution first = MustSolve(m);
-  ASSERT_EQ(first.status, SolveStatus::kOptimal);
-
-  // Grow the model the way cached LPs append a sample block: new
-  // variables, a new row over them, and new terms joining an old row.
-  const int extra1 = m.AddVariable(0.0, 2.0, 1.5);
-  const int extra2 = m.AddVariable(0.0, 2.0, 0.5);
-  m.AddRow(RowType::kLessEqual, 2.5, {{extra1, 1.0}, {extra2, 1.0}});
-  m.AddRowTerm(0, {extra1, 0.7});
-
-  Basis grown = ExtendBasis(first.basis, m);
-  ASSERT_FALSE(grown.empty());
-  EXPECT_EQ(grown.num_structural, m.num_variables());
-  EXPECT_EQ(grown.num_rows, m.num_rows());
-
-  auto warm = solver.SolveWarm(m, grown);
-  Solution cold = MustSolve(m);
-  ASSERT_TRUE(warm.ok());
-  ASSERT_EQ(warm->status, cold.status);
-  if (cold.status == SolveStatus::kOptimal) {
-    EXPECT_NEAR(warm->objective, cold.objective,
-                1e-6 * (1.0 + std::abs(cold.objective)));
-  }
-}
-
-TEST(WarmStartTest, ShrunkenModelRejectsTheStaleBasis) {
-  Rng rng(559);
-  Model large = RandomLp(&rng, 8, 5);
-  Solution s = MustSolve(large);
-  Model small = RandomLp(&rng, 5, 3);
-  // ExtendBasis only grows; a basis from a bigger model is not a prefix.
-  EXPECT_TRUE(ExtendBasis(s.basis, small).empty());
-}
 
 }  // namespace
 }  // namespace lp
