@@ -8,7 +8,8 @@ namespace core {
 
 QueryPlan MakeNaiveKPlan(const net::Topology& topology, int k) {
   std::vector<int> bw(topology.num_nodes(), 0);
-  for (int u = 1; u < topology.num_nodes(); ++u) {
+  for (int u = 0; u < topology.num_nodes(); ++u) {
+    if (u == topology.root()) continue;
     bw[u] = std::min(k, topology.subtree_size(u));
   }
   QueryPlan plan = QueryPlan::Bandwidth(k, std::move(bw));

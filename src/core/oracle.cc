@@ -29,7 +29,8 @@ QueryPlan MakeOracleProofPlan(const net::Topology& topology,
   }
 
   std::vector<int> bw(topology.num_nodes(), 0);
-  for (int u = 1; u < topology.num_nodes(); ++u) {
+  for (int u = 0; u < topology.num_nodes(); ++u) {
+    if (u == topology.root()) continue;
     bw[u] = std::min(topology.subtree_size(u), members[u] + 1);
   }
   QueryPlan plan = QueryPlan::Bandwidth(k, std::move(bw), /*proof_carrying=*/true);

@@ -18,7 +18,6 @@ QueryPlan QueryPlan::Bandwidth(int k, std::vector<int> bandwidths,
   p.k = k;
   p.proof_carrying = proof_carrying;
   p.bandwidth = std::move(bandwidths);
-  if (!p.bandwidth.empty()) p.bandwidth[0] = 0;
   return p;
 }
 

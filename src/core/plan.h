@@ -37,9 +37,8 @@ struct QueryPlan {
 
   bool UsesEdge(int child_edge) const { return bandwidth[child_edge] > 0; }
 
-  /// Creates a bandwidth plan; `bandwidths` indexed by child-edge id.
-  /// Zeroes entry 0 as a convenience for the (standard) root-at-0 layout;
-  /// plans for topologies rooted elsewhere must be Normalize()d.
+  /// Creates a bandwidth plan; `bandwidths` indexed by child-edge id. The
+  /// root's entry is taken as given: pass 0 there, or Normalize().
   static QueryPlan Bandwidth(int k, std::vector<int> bandwidths,
                              bool proof_carrying = false);
 

@@ -41,7 +41,8 @@ void AppendProofBlock(LpEntry* entry, const net::Topology& topo,
   }
 
   // Line (12): proven values at v must fit v's bandwidth.
-  for (int v = 1; v < n; ++v) {
+  for (int v = 0; v < n; ++v) {
+    if (v == topo.root()) continue;
     std::vector<lp::Term> row;
     for (int i : desc[v]) {
       // position of v in anc[i] = depth(i) - depth(v).
@@ -94,7 +95,8 @@ double ProofPlanner::MinimumCost(const PlannerContext& ctx) {
   // Every sensing node takes a measurement (the mains-powered base
   // station's sensing is not budgeted).
   double cost = (topo.num_nodes() - 1) * ctx.NodeAcquisitionCost();
-  for (int e = 1; e < topo.num_nodes(); ++e) {
+  for (int e = 0; e < topo.num_nodes(); ++e) {
+    if (e == topo.root()) continue;
     cost += ctx.EdgeMessageCost(e, 1);
     // Reserve for the proven-count byte on non-leaf edges (Section 4.3,
     // step 4: leaves never transmit the count).
@@ -112,6 +114,7 @@ Result<QueryPlan> ProofPlanner::Plan(const PlannerContext& ctx,
   last_stats_ = PlannerStats{};
   const net::Topology& topo = *ctx.topology;
   const int n = topo.num_nodes();
+  const int root = topo.root();
   if (all_samples.num_nodes() != n) {
     return Status::InvalidArgument("sample set does not match topology size");
   }
@@ -146,8 +149,10 @@ Result<QueryPlan> ProofPlanner::Plan(const PlannerContext& ctx,
   const double fixed_part = floor_cost -
                             [&] {
                               double one_value = 0.0;
-                              for (int e = 1; e < n; ++e) {
-                                one_value += ctx.EdgePerValueCost(e);
+                              for (int e = 0; e < n; ++e) {
+                                if (e != root) {
+                                  one_value += ctx.EdgePerValueCost(e);
+                                }
                               }
                               return one_value;
                             }();
@@ -180,7 +185,8 @@ Result<QueryPlan> ProofPlanner::Plan(const PlannerContext& ctx,
 
     // Bandwidths: at least one value on every edge.
     entry->b.assign(n, -1);
-    for (int e = 1; e < n; ++e) {
+    for (int e = 0; e < n; ++e) {
+      if (e == root) continue;
       entry->b[e] = model.AddVariable(1.0, topo.subtree_size(e), 0.0);
     }
 
@@ -190,7 +196,8 @@ Result<QueryPlan> ProofPlanner::Plan(const PlannerContext& ctx,
 
     // Line (11): budget over the bandwidth-dependent part.
     std::vector<lp::Term> cost_row;
-    for (int e = 1; e < n; ++e) {
+    for (int e = 0; e < n; ++e) {
+      if (e == root) continue;
       cost_row.push_back({entry->b[e], ctx.EdgePerValueCost(e)});
     }
     entry->budget_row =
@@ -231,7 +238,8 @@ Result<QueryPlan> ProofPlanner::Plan(const PlannerContext& ctx,
   // Round bandwidths half-up within [1, subtree size].
   std::vector<int> bw(n, 0);
   std::vector<double> frac(n, 0.0);
-  for (int e = 1; e < n; ++e) {
+  for (int e = 0; e < n; ++e) {
+    if (e == root) continue;
     frac[e] = solved->values[entry->b[e]];
     bw[e] = std::clamp(static_cast<int>(std::floor(frac[e] + 0.5)), 1,
                        topo.subtree_size(e));
@@ -241,14 +249,16 @@ Result<QueryPlan> ProofPlanner::Plan(const PlannerContext& ctx,
   if (options_.repair_budget) {
     auto plan_cost = [&] {
       double cost = fixed_part;
-      for (int e = 1; e < n; ++e) cost += bw[e] * ctx.EdgePerValueCost(e);
+      for (int e = 0; e < n; ++e) {
+        if (e != root) cost += bw[e] * ctx.EdgePerValueCost(e);
+      }
       return cost;
     };
     while (plan_cost() > request.energy_budget_mj) {
       int worst = -1;
       double worst_gap = -1.0;
-      for (int e = 1; e < n; ++e) {
-        if (bw[e] <= 1) continue;
+      for (int e = 0; e < n; ++e) {
+        if (e == root || bw[e] <= 1) continue;
         const double gap = bw[e] - frac[e];
         if (gap > worst_gap) {
           worst_gap = gap;

@@ -9,6 +9,12 @@
 // optimality), both for numerical hygiene and to shed eta fill-in; a
 // singular refactorization is a numerical breakdown and falls back to the
 // dense oracle, which is kept runnable for every accepted model.
+//
+// Slack and artificial columns, most of a planner basis, cost little more
+// than their count: an identity eta is not stored, a single-entry column
+// on a row no stored eta pivots on skips FTRAN, and the objective sums
+// only costed terms. Each skipped operation is an exact no-op, so the
+// pivot path is the one the unabridged arithmetic takes, bit for bit.
 
 #include <algorithm>
 #include <cmath>
@@ -68,29 +74,48 @@ struct SparseVec {
 // Product form of the inverse: B^{-1} = E_k^{-1} ... E_1^{-1}, each eta
 // recording the column w = B_prev^{-1} a_j that entered at `pivot_row`.
 // Nonzeros are packed into flat arrays so FTRAN/BTRAN stream linearly.
+//
+// An identity eta (w = e_pivot_row: pivot exactly 1.0, no off-diagonal
+// nonzero) is counted but not stored. FTRAN and BTRAN through it would
+// multiply one entry by 1.0 and subtract nothing, which changes no bit.
 class EtaFile {
  public:
+  void Resize(int m) { pivoted_.assign(m, 0); }
   void Clear() {
+    for (const Eta& e : etas_) pivoted_[e.pivot_row] = 0;
     etas_.clear();
     nz_rows_.clear();
     nz_vals_.clear();
+    identities_ = 0;
   }
-  size_t entries() const { return nz_rows_.size() + etas_.size(); }
+  // Entries of the whole product form, identity etas included, so the
+  // fill-in refactor trigger does not depend on what is stored.
+  size_t entries() const {
+    return nz_rows_.size() + etas_.size() + identities_;
+  }
+  // Whether a stored eta pivots on row i. FTRAN maps a single-entry column
+  // on any other row to itself: every stored eta reads a zero there.
+  bool Pivots(int i) const { return pivoted_[i] != 0; }
 
-  // Records w (sparse form, indices sorted) as the next eta.
-  void Append(const SparseVec& w, int pivot_row) {
-    Eta e;
-    e.pivot_row = pivot_row;
-    e.inv_pivot = 1.0 / w.vals[pivot_row];
-    e.begin = static_cast<int>(nz_rows_.size());
+  // Records w (sparse form, indices sorted) as the next eta. Returns the
+  // entries stored, pivot included: 0 for an identity eta.
+  int Append(const SparseVec& w, int pivot_row) {
+    const int begin = static_cast<int>(nz_rows_.size());
     for (const int i : w.list) {
       if (i != pivot_row && w.vals[i] != 0.0) {
         nz_rows_.push_back(i);
         nz_vals_.push_back(w.vals[i]);
       }
     }
-    e.end = static_cast<int>(nz_rows_.size());
-    etas_.push_back(e);
+    const int end = static_cast<int>(nz_rows_.size());
+    const double pivot = w.vals[pivot_row];
+    if (end == begin && pivot == 1.0) {
+      ++identities_;
+      return 0;
+    }
+    etas_.push_back({pivot_row, 1.0 / pivot, begin, end});
+    pivoted_[pivot_row] = 1;
+    return end - begin + 1;
   }
 
   // v <- B^{-1} v, dense carrier: apply eta inverses oldest-first.
@@ -145,11 +170,14 @@ class EtaFile {
   std::vector<Eta> etas_;
   std::vector<int> nz_rows_;
   std::vector<double> nz_vals_;
+  std::vector<char> pivoted_;  // per row: some stored eta pivots here
+  size_t identities_ = 0;
 };
 
 // Equality-form working state; the sparse counterpart of internal::Tableau.
 struct Engine {
   const SimplexOptions& opts;
+  SolveStats& stats;  // refactorizations and eta_nonzeros accrue here
   int m = 0;
   int nstruct = 0;
   int ncols = 0;
@@ -163,10 +191,11 @@ struct Engine {
   size_t eta_entry_cap = 0;
   bool breakdown = false;
 
-  SparseVec w;            // FTRAN scratch: B^{-1} a_j
-  std::vector<double> y;  // BTRAN scratch: duals of the active cost
+  SparseVec w;             // FTRAN scratch: B^{-1} a_j
+  std::vector<double> y;   // BTRAN scratch: duals of the active cost
+  std::vector<int> costed;  // columns with a nonzero active cost, ascending
 
-  explicit Engine(const SimplexOptions& o) : opts(o) {}
+  Engine(const SimplexOptions& o, SolveStats* s) : opts(o), stats(*s) {}
 
   double NonbasicValue(int j) const {
     switch (status[j]) {
@@ -178,33 +207,44 @@ struct Engine {
     return 0.0;
   }
 
+  // Nonbasic terms in column order, then basic terms in row order, as the
+  // dense engine sums them, skipping zero-cost terms. Each would add an
+  // exact zero (a zero cost times a finite value), which changes no bit of
+  // a sum that starts at +0.0 and so can never be -0.0.
   double ObjectiveNow() const {
     double v = 0.0;
-    for (int j = 0; j < ncols; ++j) {
+    for (const int j : costed) {
       if (status[j] != VarStatus::kBasic) v += cost[j] * NonbasicValue(j);
     }
-    for (int i = 0; i < m; ++i) v += cost[basis[i]] * xb[i];
+    for (int i = 0; i < m; ++i) {
+      const double c = cost[basis[i]];
+      if (c != 0.0) v += c * xb[i];
+    }
     return v;
   }
 
-  // w <- B^{-1} a_j through the eta file, sparse end to end.
+  // w <- B^{-1} a_j through the eta file, sparse end to end. A
+  // single-entry column on a row no stored eta pivots on is its own image.
   void ComputeColumn(int j) {
     w.Clear();
-    for (int p = A.start[j]; p < A.start[j + 1]; ++p) {
-      w.Set(A.row_idx[p], A.value[p]);
-    }
+    const int begin = A.start[j];
+    const int end = A.start[j + 1];
+    for (int p = begin; p < end; ++p) w.Set(A.row_idx[p], A.value[p]);
+    if (end - begin == 1 && !eta.Pivots(A.row_idx[begin])) return;
     eta.FtranSparse(&w);
     w.SortIndices();
   }
 
   // Rebuilds the eta file from the current basis columns, re-assigning each
   // basic column to the unclaimed row where it pivots largest. Returns
-  // false when the basis matrix is singular. Work is proportional to the
-  // factorization's fill-in, not m^2: slack columns (the bulk of a planner
-  // basis) are unit vectors and cost O(1).
+  // false when the basis matrix is singular. A slack or artificial column
+  // on a row no stored eta pivots on skips FTRAN and appends an identity
+  // eta, both O(1), so the work scales with the structural columns'
+  // fill-in.
   bool Refactor() {
     eta.Clear();
     pivots_since_refactor = 0;
+    ++stats.refactorizations;
     const std::vector<int> order = basis;
     std::vector<char> row_used(m, 0);
     for (int p = 0; p < m; ++p) {
@@ -220,7 +260,7 @@ struct Engine {
         }
       }
       if (prow < 0) return false;
-      eta.Append(w, prow);
+      stats.eta_nonzeros += eta.Append(w, prow);
       row_used[prow] = 1;
       basis[prow] = order[p];
     }
@@ -245,8 +285,13 @@ struct Engine {
   // Runs simplex iterations for the active cost until
   // optimal/unbounded/limit; sets `breakdown` (and returns early) when a
   // refactorization goes singular. Pricing, ratio test, and the
-  // stall->Bland anti-cycling ladder replicate the dense Iterate().
+  // stall->Bland anti-cycling ladder replicate the dense Iterate(). Each
+  // call starts with a new cost vector, so it re-indexes `costed` first.
   SolveStatus Iterate(int max_iters, int* iterations, int* blands_activations) {
+    costed.clear();
+    for (int j = 0; j < ncols; ++j) {
+      if (cost[j] != 0.0) costed.push_back(j);
+    }
     bool bland = false;
     int stall = 0;
     double last_obj = ObjectiveNow();
@@ -394,7 +439,7 @@ struct Engine {
         basis[r] = entering;
         status[entering] = VarStatus::kBasic;
         xb[r] = entering_value;
-        eta.Append(w, r);
+        stats.eta_nonzeros += eta.Append(w, r);
         if (++pivots_since_refactor >= refactor_every ||
             eta.entries() > eta_entry_cap) {
           if (!Refactor()) {
@@ -429,11 +474,12 @@ bool RevisedAttempt(const Model& model, const SimplexOptions& opts,
   const int m = model.num_rows();
   const bool maximize = model.sense() == Sense::kMaximize;
 
-  Engine eng(opts);
+  Engine eng(opts, &sol->stats);
   eng.m = m;
   eng.nstruct = nstruct;
   eng.A = BuildEqualityColumns(model, {});
   eng.w.Resize(m);
+  eng.eta.Resize(m);
   eng.y.assign(m, 0.0);
   eng.refactor_every = std::max(1, opts.refactor_interval);
   eng.eta_entry_cap =

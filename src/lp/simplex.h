@@ -1,6 +1,7 @@
 #ifndef PROSPECTOR_LP_SIMPLEX_H_
 #define PROSPECTOR_LP_SIMPLEX_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,13 @@ struct SolveStats {
   int rows = 0;         ///< constraint rows in the model
   int columns = 0;      ///< structural variables
   int artificials = 0;  ///< phase-1 artificial variables introduced
+  /// Revised engine only (0 on the dense engine): product-form
+  /// refactorizations, and eta entries stored over the solve, pivot
+  /// entries included. An identity eta (a column that is already the unit
+  /// vector of its pivot row) stores nothing, so `eta_nonzeros` tracks the
+  /// structural part of the basis.
+  int refactorizations = 0;
+  int64_t eta_nonzeros = 0;
 
   int total_iterations() const { return phase1_iterations + phase2_iterations; }
 
@@ -51,6 +59,8 @@ struct SolveStats {
     rows += other.rows;
     columns += other.columns;
     artificials += other.artificials;
+    refactorizations += other.refactorizations;
+    eta_nonzeros += other.eta_nonzeros;
   }
 };
 

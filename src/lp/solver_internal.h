@@ -54,6 +54,8 @@ inline void RecordSolveMetrics([[maybe_unused]] const Solution& sol) {
   PROSPECTOR_COUNTER_ADD("lp.phase1_pivots", sol.stats.phase1_iterations);
   PROSPECTOR_COUNTER_ADD("lp.phase2_pivots", sol.stats.phase2_iterations);
   PROSPECTOR_COUNTER_ADD("lp.blands_activations", sol.stats.blands_activations);
+  PROSPECTOR_COUNTER_ADD("lp.refactorizations", sol.stats.refactorizations);
+  PROSPECTOR_COUNTER_ADD("lp.eta_nonzeros", sol.stats.eta_nonzeros);
 }
 
 /// Max bound/row violation of `values` re-checked against the original

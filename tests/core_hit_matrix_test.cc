@@ -90,6 +90,7 @@ TEST(HitMatrixTest, SlidingWindowSyncsStayExact) {
   }
   // The slides above must not have degenerated into rebuilds: tombstone
   // mass stays bounded, so only the compaction threshold may rebuild.
+#ifndef PROSPECTOR_OBS_DISABLED
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
   int64_t incremental = 0;
   int64_t rebuilds = 0;
@@ -99,6 +100,7 @@ TEST(HitMatrixTest, SlidingWindowSyncsStayExact) {
   }
   EXPECT_GT(incremental, 0);
   EXPECT_LE(rebuilds, 2);  // initial build (+ at most one compaction)
+#endif
 }
 
 TEST(HitMatrixTest, TombstoneCompactionKeepsExactness) {
@@ -209,6 +211,7 @@ TEST(HitMatrixTest, WorkspaceCacheClonesOnWriteAndClears) {
   EXPECT_EQ(first->num_samples(), old_samples);
   EXPECT_EQ(first->set_version(), old_version);
 
+#ifndef PROSPECTOR_OBS_DISABLED
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
@@ -218,6 +221,7 @@ TEST(HitMatrixTest, WorkspaceCacheClonesOnWriteAndClears) {
   }
   EXPECT_EQ(cache_hits, 1);
   EXPECT_EQ(cache_misses, 2);
+#endif
 
   // Clear() drops the cache; the next call rebuilds rather than reusing.
   ws.Clear();

@@ -6,6 +6,7 @@
 #include "src/core/exact.h"
 #include "src/data/gaussian_field.h"
 #include "src/core/executor.h"
+#include "src/core/naive.h"
 #include "src/core/oracle.h"
 #include "src/core/proof_executor.h"
 #include "src/core/proof_planner.h"
@@ -270,6 +271,57 @@ TEST_P(ProofPlannerPropertyTest, PlansRespectFloorBudgetAndBounds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProofPlannerPropertyTest,
                          ::testing::Range(1, 25));
+
+// ---- Root placement: the root need not be node 0 (topology.h). ----
+
+TEST(RootPlacementTest, PlansMatchAcrossRootRelabelling) {
+  // The chain leaf -> mid -> root labelled root-last ({1, 2, root}) and
+  // root-first ({root, 0, 1}): node i of one is node 2 - i of the other,
+  // so every per-node result must match after reversing it.
+  auto root_last = net::Topology::FromParents({1, 2, net::Topology::kNoParent});
+  auto root_first =
+      net::Topology::FromParents({net::Topology::kNoParent, 0, 1});
+  ASSERT_TRUE(root_last.ok() && root_first.ok());
+  auto reversed = [](auto v) {
+    std::reverse(v.begin(), v.end());
+    return v;
+  };
+
+  // The top value sits on the leaf.
+  const std::vector<double> truth = {9.0, 5.0, 1.0};
+  EXPECT_EQ(MakeNaiveKPlan(*root_last, 1).bandwidth,
+            reversed(MakeNaiveKPlan(*root_first, 1).bandwidth));
+  EXPECT_EQ(MakeOracleProofPlan(*root_last, truth, 1).bandwidth,
+            reversed(MakeOracleProofPlan(*root_first, reversed(truth), 1)
+                         .bandwidth));
+
+  PlannerContext ctx_last;
+  ctx_last.topology = &root_last.value();
+  PlannerContext ctx_first;
+  ctx_first.topology = &root_first.value();
+  EXPECT_DOUBLE_EQ(ProofPlanner::MinimumCost(ctx_last),
+                   ProofPlanner::MinimumCost(ctx_first));
+
+  sampling::SampleSet samples_last = sampling::SampleSet::ForTopK(3, 1);
+  sampling::SampleSet samples_first = sampling::SampleSet::ForTopK(3, 1);
+  Rng rng(5);
+  for (int s = 0; s < 4; ++s) {
+    const std::vector<double> v = {rng.Uniform(50.0, 100.0),
+                                   rng.Uniform(0.0, 50.0),
+                                   rng.Uniform(0.0, 50.0)};
+    samples_last.Add(v);
+    samples_first.Add(reversed(v));
+  }
+  PlanRequest req;
+  req.k = 1;
+  req.energy_budget_mj = 1.5 * ProofPlanner::MinimumCost(ctx_first);
+  ProofPlanner planner;
+  auto plan_last = planner.Plan(ctx_last, samples_last, req);
+  auto plan_first = planner.Plan(ctx_first, samples_first, req);
+  ASSERT_TRUE(plan_last.ok()) << plan_last.status().ToString();
+  ASSERT_TRUE(plan_first.ok()) << plan_first.status().ToString();
+  EXPECT_EQ(plan_last->bandwidth, reversed(plan_first->bandwidth));
+}
 
 TEST(ProspectorExactTest, EndToEndExactAndPhaseTradeoff) {
   Rng rng(4242);

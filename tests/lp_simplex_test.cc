@@ -1,11 +1,14 @@
 #include "src/lp/simplex.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/lp/model.h"
+#include "src/obs/metrics.h"
 #include "src/util/rng.h"
 
 namespace prospector {
@@ -247,6 +250,279 @@ TEST(SimplexTest, RevisedCrossCheckMatchesDenseOnRandomLps) {
     EXPECT_EQ(revised.objective, dense.objective) << "trial=" << trial;
 #endif
   }
+}
+
+// -------- Pinned pivot path. The tests above compare objectives within a
+// tolerance, so a kernel change that reorders floating-point work or breaks
+// a pricing tie differently would pass them. These models pin the revised
+// engine's exact pivot counts and the bit patterns of its whole solution;
+// a changed constant is a changed pivot path and must be deliberate. --------
+
+// FNV-1a over the little-endian bytes of each double's bit pattern.
+uint64_t HashBits(uint64_t h, double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  for (int b = 0; b < 8; ++b) {
+    h ^= (bits >> (8 * b)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+uint64_t SolutionHash(const Solution& s) {
+  uint64_t h = HashBits(0xcbf29ce484222325ULL, s.objective);
+  for (const auto* v : {&s.values, &s.row_duals, &s.reduced_costs}) {
+    for (const double x : *v) h = HashBits(h, x);
+  }
+  return h;
+}
+
+// LP-LF-shaped (paper Section 4.2) on a 100-node ternary tree: edge
+// variables z_e, and per sample eight hit variables y worth one each, each
+// tied to every edge on its path to the root by y - z_e <= 0. Every other
+// hit splits its own edge's row as y - z_e/2 - z_parent/2 <= 0, for three
+// nonzeros. One budget row prices the edges. Its 551 rows outnumber its 259
+// columns two to one, so the optimal basis is mostly slacks.
+Model PlannerShapedBlockLp() {
+  Rng rng(14);
+  Model m;
+  m.SetSense(Sense::kMaximize);
+  const int nodes = 100;
+  auto parent = [](int i) { return (i - 1) / 3; };
+  std::vector<int> z(nodes, -1);
+  std::vector<Term> budget;
+  double total = 0.0;
+  for (int e = 1; e < nodes; ++e) {
+    z[e] = m.AddBinaryRelaxed(0.0);
+    const double c = rng.Uniform(0.5, 1.5);
+    budget.push_back({z[e], c});
+    total += c;
+  }
+  for (int s = 0; s < 20; ++s) {
+    for (int k = 0; k < 8; ++k) {
+      const int i = 1 + static_cast<int>(rng.UniformInt(uint64_t{nodes - 1}));
+      const int y = m.AddBinaryRelaxed(1.0);
+      for (int e = i; e != 0; e = parent(e)) {
+        if (e == i && k % 2 == 1 && parent(e) != 0) {
+          m.AddRow(RowType::kLessEqual, 0.0,
+                   {{y, 1.0}, {z[e], -0.5}, {z[parent(e)], -0.5}});
+        } else {
+          m.AddRow(RowType::kLessEqual, 0.0, {{y, 1.0}, {z[e], -1.0}});
+        }
+      }
+    }
+  }
+  m.AddRow(RowType::kLessEqual, 0.2 * total, std::move(budget));
+  return m;
+}
+
+// A knapsack over 40 variables in [0, 1] plus 560 side rows of two or
+// three nonzeros whose right-hand sides exceed anything the bounds allow.
+// The budget binds only once nearly every variable sits at its upper
+// bound, so the basis stays all slacks but the column the budget row
+// makes basic.
+Model SlackHeavyLp() {
+  Rng rng(5);
+  Model m;
+  m.SetSense(Sense::kMaximize);
+  const int nvars = 40;
+  std::vector<Term> budget;
+  double total = 0.0;
+  for (int j = 0; j < nvars; ++j) {
+    m.AddBinaryRelaxed(rng.Uniform(0.5, 1.5));
+    const double c = rng.Uniform(0.5, 1.5);
+    budget.push_back({j, c});
+    total += c;
+  }
+  for (int r = 0; r < 560; ++r) {
+    const int terms = 2 + r % 2;
+    std::vector<Term> row;
+    for (int t = 0; t < terms; ++t) {
+      row.push_back({static_cast<int>(rng.UniformInt(uint64_t{nvars})), 1.0});
+    }
+    m.AddRow(RowType::kLessEqual, terms + 0.5, std::move(row));
+  }
+  m.AddRow(RowType::kLessEqual, 0.97 * total, std::move(budget));
+  return m;
+}
+
+// Proof-LP-shaped (paper Section 4.3) on a 31-node binary heap tree: per
+// sample, p[i][k] = "i's value proven k hops up its path" with chain rows
+// p[i][k] <= p[i][k-1], a bandwidth row per edge (values proven at v fit
+// b_v), random sibling "smaller value" rows, and a budget over the
+// bandwidths b_v in [1, subtree size].
+Model ProofShapedChainLp() {
+  Rng rng(41);
+  Model m;
+  m.SetSense(Sense::kMaximize);
+  const int nodes = 31;
+  auto parent = [](int i) { return (i - 1) / 2; };
+  std::vector<int> depth(nodes, 0);
+  std::vector<int> subtree(nodes, 1);
+  for (int i = 1; i < nodes; ++i) depth[i] = depth[parent(i)] + 1;
+  for (int i = nodes - 1; i > 0; --i) subtree[parent(i)] += subtree[i];
+  std::vector<int> b(nodes, -1);
+  std::vector<Term> budget;
+  double floor_cost = 0.0;
+  double full_cost = 0.0;
+  for (int v = 1; v < nodes; ++v) {
+    b[v] = m.AddVariable(1.0, subtree[v], 0.0);
+    const double c = rng.Uniform(0.5, 1.5);
+    budget.push_back({b[v], c});
+    floor_cost += c;
+    full_cost += c * subtree[v];
+  }
+  for (int s = 0; s < 4; ++s) {
+    std::vector<std::vector<int>> p(nodes);
+    for (int i = 0; i < nodes; ++i) {
+      const bool top = rng.Bernoulli(0.2);
+      for (int k = 0; k <= depth[i]; ++k) {
+        p[i].push_back(m.AddBinaryRelaxed(top && k == depth[i] ? 1.0 : 0.0));
+        if (k > 0) {
+          m.AddRow(RowType::kLessEqual, 0.0,
+                   {{p[i][k], 1.0}, {p[i][k - 1], -1.0}});
+        }
+      }
+    }
+    for (int v = 1; v < nodes; ++v) {
+      std::vector<Term> row;
+      for (int i = v; i < nodes; ++i) {
+        int a = i;
+        while (depth[a] > depth[v]) a = parent(a);
+        if (a == v) row.push_back({p[i][depth[i] - depth[v]], 1.0});
+      }
+      row.push_back({b[v], -1.0});
+      m.AddRow(RowType::kLessEqual, 0.0, std::move(row));
+    }
+    for (int i = 1; i + 1 < nodes; i += 2) {
+      if (rng.Bernoulli(0.5)) {
+        m.AddRow(RowType::kLessEqual, 0.0, {{p[i][1], 1.0}, {p[i + 1][0], -1.0}});
+      }
+    }
+  }
+  m.AddRow(RowType::kLessEqual, floor_cost + 0.25 * (full_cost - floor_cost),
+           std::move(budget));
+  return m;
+}
+
+// = and >= rows built around a known interior point, so the slack basis is
+// infeasible at the resting point and phase 1 has work to do.
+Model PhaseOneLp() {
+  Rng rng(7);
+  Model m;
+  const int nvars = 30;
+  std::vector<double> x0(nvars);
+  for (int j = 0; j < nvars; ++j) {
+    const double up = rng.Uniform(1.0, 4.0);
+    m.AddVariable(0.0, up, rng.Uniform(-1.0, 2.0));
+    x0[j] = rng.Uniform(0.2, 0.8) * up;
+  }
+  for (int r = 0; r < 24; ++r) {
+    std::vector<Term> terms;
+    double lhs = 0.0;
+    for (int j = 0; j < nvars; ++j) {
+      if (!rng.Bernoulli(0.3)) continue;
+      const double a = rng.Uniform(-1.0, 2.0);
+      terms.push_back({j, a});
+      lhs += a * x0[j];
+    }
+    switch (r % 3) {
+      case 0: m.AddRow(RowType::kEqual, lhs, terms); break;
+      case 1: m.AddRow(RowType::kGreaterEqual, lhs - rng.Uniform(0.0, 0.5), terms); break;
+      default: m.AddRow(RowType::kLessEqual, lhs + rng.Uniform(0.0, 0.5), terms); break;
+    }
+  }
+  return m;
+}
+
+TEST(RevisedSimplexTest, PivotPathIsPinned) {
+  struct Pinned {
+    int phase1, phase2, blands;
+    uint64_t hash;
+  };
+  struct Case {
+    const char* name;
+    Model model;
+    int stall_threshold, refactor_interval;
+    Pinned want;
+  };
+  // The planner block runs at stall threshold 8 so Bland's rule engages and
+  // the pinned path also depends on the objective values the stall test
+  // reads. In a -DPROSPECTOR_LP_CROSSCHECK=ON build SolveRevised returns the
+  // dense oracle's solution, so that build pins the dense engine's path.
+  const SimplexOptions defaults;
+#ifndef PROSPECTOR_LP_CROSSCHECK
+  const Case cases[] = {
+      {"planner block", PlannerShapedBlockLp(), 8, defaults.refactor_interval,
+       {0, 299, 3, 0x05035350926253dbULL}},
+      {"proof chain", ProofShapedChainLp(), defaults.stall_threshold,
+       defaults.refactor_interval, {0, 114, 0, 0xdeba3869e1b88d88ULL}},
+      {"phase 1", PhaseOneLp(), defaults.stall_threshold,
+       defaults.refactor_interval, {28, 23, 0, 0xcae9be1b84f275a7ULL}},
+      {"beale", BealeCyclingModel(), 2, 3, {0, 2, 0, 0xfda47249445585a8ULL}},
+  };
+#else
+  const Case cases[] = {
+      {"planner block", PlannerShapedBlockLp(), 8, defaults.refactor_interval,
+       {0, 302, 4, 0x7e126664245f41dfULL}},
+      {"proof chain", ProofShapedChainLp(), defaults.stall_threshold,
+       defaults.refactor_interval, {0, 114, 0, 0xb1f36833529bb627ULL}},
+      {"phase 1", PhaseOneLp(), defaults.stall_threshold,
+       defaults.refactor_interval, {28, 23, 0, 0xf793e2a3efc6b9deULL}},
+      {"beale", BealeCyclingModel(), 2, 3, {0, 2, 0, 0xc7d588dbd19bd028ULL}},
+  };
+#endif
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SimplexOptions opts;
+    opts.algorithm = SimplexAlgorithm::kRevised;
+    opts.stall_threshold = c.stall_threshold;
+    opts.refactor_interval = c.refactor_interval;
+    const Solution s = MustSolve(c.model, opts);
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_EQ(s.stats.phase1_iterations, c.want.phase1);
+    EXPECT_EQ(s.stats.phase2_iterations, c.want.phase2);
+    EXPECT_EQ(s.stats.blands_activations, c.want.blands);
+    EXPECT_EQ(SolutionHash(s), c.want.hash)
+        << "hash 0x" << std::hex << SolutionHash(s);
+  }
+}
+
+TEST(RevisedSimplexTest, WorkCountersCountOnlyStoredEtas) {
+  // Every refactorization appends one eta per row, so eta_nonzeros stays
+  // below rows x refactorizations only because the slacks' identity etas
+  // are not stored.
+  const Model m = SlackHeavyLp();
+  SimplexOptions dense_opts;
+  dense_opts.algorithm = SimplexAlgorithm::kDense;
+  const Solution dense = MustSolve(m, dense_opts);
+  EXPECT_EQ(dense.stats.refactorizations, 0);
+  EXPECT_EQ(dense.stats.eta_nonzeros, 0);
+
+  SimplexOptions revised_opts;
+  revised_opts.algorithm = SimplexAlgorithm::kRevised;
+  obs::MetricsRegistry::Global().Reset();
+  const Solution revised = MustSolve(m, revised_opts);
+#ifdef PROSPECTOR_LP_CROSSCHECK
+  // This build returns the dense oracle's solution from SolveRevised.
+  EXPECT_EQ(revised.stats.refactorizations, 0);
+  EXPECT_EQ(revised.stats.eta_nonzeros, 0);
+#else
+  ASSERT_GT(revised.stats.refactorizations, 0);
+  EXPECT_LT(revised.stats.eta_nonzeros,
+            int64_t{m.num_rows()} * revised.stats.refactorizations);
+  SolveStats twice = revised.stats;
+  twice.Accumulate(revised.stats);
+  EXPECT_EQ(twice.refactorizations, 2 * revised.stats.refactorizations);
+  EXPECT_EQ(twice.eta_nonzeros, 2 * revised.stats.eta_nonzeros);
+#ifndef PROSPECTOR_OBS_DISABLED
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  EXPECT_EQ(registry.counter("lp.refactorizations")->value(),
+            revised.stats.refactorizations);
+  EXPECT_EQ(registry.counter("lp.eta_nonzeros")->value(),
+            revised.stats.eta_nonzeros);
+#endif
+#endif
 }
 
 TEST(SimplexTest, ValidateRejectsBadVariableIndex) {

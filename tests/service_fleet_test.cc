@@ -137,6 +137,7 @@ TEST(FleetServiceTest, TypedRejectionsAndMetrics) {
   EXPECT_EQ(kind(AdmitReject::kQueueFull), 1);
 
   // Every rejection kind is metered through obs.
+#ifndef PROSPECTOR_OBS_DISABLED
   auto& metrics = obs::MetricsRegistry::Global();
   EXPECT_EQ(metrics.counter("service.rejects.unknown_deployment")->value(), 1);
   EXPECT_EQ(metrics.counter("service.rejects.invalid_spec")->value(), 2);
@@ -144,6 +145,7 @@ TEST(FleetServiceTest, TypedRejectionsAndMetrics) {
   EXPECT_EQ(metrics.counter("service.rejects.tenant_energy_quota")->value(),
             1);
   EXPECT_EQ(metrics.counter("service.rejects.queue_full")->value(), 1);
+#endif
 
   // The queue drains at the boundary; admission resumes.
   ASSERT_TRUE(fleet->RunEpoch().ok());
