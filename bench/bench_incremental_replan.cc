@@ -3,16 +3,16 @@
 // k=10, geometric network). Each query epoch slides the sample window by
 // one fresh reading and replans.
 //
-// Two modes per planner:
-//   * cold      — no workspace; every epoch builds and solves its LP from
-//     scratch.
-//   * workspace — the cached LP skeleton is delta-patched (new sample
-//     blocks appended, departed ones tombstoned, budget RHS patched) and
-//     solved once with SimplexSolver::Solve; topology caches are reused.
-//     The process aborts if any epoch's plan differs from the cold plan.
+// Two modes per planner; both build and solve every epoch's LP from the
+// current window:
+//   * cold      — no workspace; path/ancestor/descendant lists and the
+//     packed hit matrix are recomputed every epoch.
+//   * workspace — those lists are reused per topology epoch and the hit
+//     matrix is synced by delta. The process aborts if any epoch's plan
+//     differs from the cold plan.
 //
 // workspace_speedup = cold steady ms / workspace steady ms, per planner:
-// what the skeleton and topology caches buy over rebuilding.
+// what the topology and hit-matrix caches buy over recomputing them.
 //
 // Emits BENCH_incremental_replan.json in the current working directory.
 
@@ -74,7 +74,7 @@ struct Stream {
 
 struct ModeResult {
   std::vector<core::QueryPlan> plans;  // one per epoch
-  double first_ms = 0.0;   // epoch 0: the cold build even with a workspace
+  double first_ms = 0.0;   // epoch 0: fills the workspace's caches
   double steady_ms = 0.0;  // median over the remaining epochs
   core::WorkspaceCounters counters;
 };
@@ -217,12 +217,13 @@ void Run() {
   }
 
   bench::TableHeader(&json, "workspace counters",
-                     {"planner", "lp_hits", "lp_misses", "lp_patches",
-                      "topo_hits", "topo_misses"});
+                     {"planner", "topo_hits", "topo_misses", "hit_matrix_hits",
+                      "hit_matrix_misses"});
   for (const CounterRow& r : counter_rows) {
-    bench::TableRow(&json, {double(r.which), double(r.c.lp_hits),
-                            double(r.c.lp_misses), double(r.c.lp_patches),
-                            double(r.c.topo_hits), double(r.c.topo_misses)});
+    bench::TableRow(&json, {double(r.which), double(r.c.topo_hits),
+                            double(r.c.topo_misses),
+                            double(r.c.hit_matrix_hits),
+                            double(r.c.hit_matrix_misses)});
   }
 
   json.Write();

@@ -55,7 +55,7 @@ void Run() {
   ctx.topology = &topo;
   net::NetworkSimulator sim(&topo, ctx.energy);
   const core::BatteryModel batteries =
-      core::BatteryModel::Uniform(kNodes, kBatteryMj);
+      core::BatteryModel::Uniform(topo, kBatteryMj);
 
   std::printf("Network lifetime under %.0f mJ per mote (n=%d, k=%d)\n\n",
               kBatteryMj, kNodes, kTop);

@@ -28,7 +28,8 @@ Clustering ClusterByGrid(const net::Topology& topology, int cells_x,
 
   // First pass: raw cell ids; second pass: densify over non-empty cells.
   std::map<int, int> dense_id;
-  for (int i = 1; i < n; ++i) {  // the root stays unclustered
+  for (int i = 0; i < n; ++i) {
+    if (i == topology.root()) continue;  // the root stays unclustered
     int cx = std::min(cells_x - 1,
                       static_cast<int>((pos[i].x - min_x) / w * cells_x));
     int cy = std::min(cells_y - 1,

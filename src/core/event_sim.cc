@@ -13,6 +13,7 @@ EventSimResult SimulateCollectionPhase(const QueryPlan& plan,
                                        const net::FailureModel& failures,
                                        Rng* rng) {
   const int n = topology.num_nodes();
+  const int root = topology.root();
   EventSimResult result;
   result.node_airtime_s.assign(n, 0.0);
   result.node_blocked_s.assign(n, 0.0);
@@ -21,8 +22,8 @@ EventSimResult SimulateCollectionPhase(const QueryPlan& plan,
   // expects before it may transmit its own.
   std::vector<int> awaiting(n, 0);
   std::vector<char> sends(n, 0);
-  for (int u = 1; u < n; ++u) sends[u] = plan.bandwidth[u] > 0 ? 1 : 0;
-  for (int u = 1; u < n; ++u) {
+  for (int u = 0; u < n; ++u) {
+    sends[u] = u != root && plan.bandwidth[u] > 0 ? 1 : 0;
     if (sends[u]) ++awaiting[topology.parent(u)];
   }
 
@@ -34,7 +35,7 @@ EventSimResult SimulateCollectionPhase(const QueryPlan& plan,
 
   std::vector<char> done(n, 1);
   int remaining = 0;
-  for (int u = 1; u < n; ++u) {
+  for (int u = 0; u < n; ++u) {
     if (sends[u]) {
       done[u] = 0;
       ++remaining;
@@ -46,7 +47,7 @@ EventSimResult SimulateCollectionPhase(const QueryPlan& plan,
   while (remaining > 0) {
     int pick = -1;
     double pick_start = std::numeric_limits<double>::infinity();
-    for (int u = 1; u < n; ++u) {
+    for (int u = 0; u < n; ++u) {
       if (done[u] || !std::isfinite(ready[u])) continue;
       const int p = topology.parent(u);
       const double start =

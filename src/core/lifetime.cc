@@ -11,8 +11,8 @@ std::vector<double> ExpectedPerNodeEnergy(const QueryPlan& plan,
   const net::Topology& topo = sim.topology();
   std::vector<double> load(topo.num_nodes(), 0.0);
   const double acquisition = sim.energy_model().acquisition_mj;
-  for (int e = 1; e < topo.num_nodes(); ++e) {
-    if (plan.bandwidth[e] > 0) {
+  for (int e = 0; e < topo.num_nodes(); ++e) {
+    if (e != topo.root() && plan.bandwidth[e] > 0) {
       load[e] += sim.ExpectedUnicastCost(e, plan.bandwidth[e]);
       if (plan.kind == PlanKind::kBandwidth || plan.chosen[e]) {
         load[e] += acquisition;
@@ -56,8 +56,8 @@ LifetimeEstimate EstimateLifetime(const net::Topology& topology,
   // (Section 4.4's rebuild/re-plan machinery would recover; this estimate
   // is for a static plan). The earliest death of a node that still
   // shields active demand below it ends coverage.
-  for (int u = 1; u < n; ++u) {
-    if (death_at[u] == kInf) continue;
+  for (int u = 0; u < n; ++u) {
+    if (u == topology.root() || death_at[u] == kInf) continue;
     bool shields_demand = false;
     for (int d : topology.DescendantsOf(u)) {
       if (d != u && per_query_mj[d] > 0.0) {

@@ -26,11 +26,16 @@ struct BatteryModel {
   /// mains-powered: give it a huge capacity.
   std::vector<double> capacity_mj;
 
-  static BatteryModel Uniform(int num_nodes, double capacity_mj,
+  /// `capacity_mj` on every node of `topology` except its root, which gets
+  /// `root_capacity_mj`.
+  static BatteryModel Uniform(const net::Topology& topology,
+                              double capacity_mj,
                               double root_capacity_mj = 1e12) {
     BatteryModel b;
-    b.capacity_mj.assign(num_nodes, capacity_mj);
-    if (num_nodes > 0) b.capacity_mj[0] = root_capacity_mj;
+    b.capacity_mj.assign(topology.num_nodes(), capacity_mj);
+    if (topology.num_nodes() > 0) {
+      b.capacity_mj[topology.root()] = root_capacity_mj;
+    }
     return b;
   }
 };

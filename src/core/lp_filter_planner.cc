@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/core/plan_eval.h"
@@ -12,63 +12,6 @@
 
 namespace prospector {
 namespace core {
-namespace {
-
-// Appends one sample's y-variable block (and any newly relevant edges' z/b
-// variables) to an already-built LP+LF model. New z/b join the existing
-// budget row via AddRowTerm. Returns the number of patch operations.
-int AppendFilterBlock(LpEntry* entry, const PlannerContext& ctx,
-                      const net::Topology& topo,
-                      const sampling::SampleSet& samples, int j,
-                      const std::vector<std::vector<int>>& paths, int k) {
-  lp::Model& model = entry->model;
-  const int root = topo.root();
-  int ops = 0;
-  LpSampleBlock block;
-  block.stamp = samples.sample_stamp(j);
-  std::unordered_map<int, std::vector<lp::Term>> bandwidth_terms;
-  for (int i : samples.ones(j)) {
-    if (i == root) continue;  // the root's value is free
-    for (int e : paths[i]) {
-      if (entry->z[e] < 0) {
-        // The sliding window surfaced a contributor beneath an edge the
-        // built model never needed: grow the model by that edge.
-        entry->z[e] = model.AddBinaryRelaxed(0.0);
-        const double ub = std::min(k, topo.subtree_size(e));
-        entry->b[e] = model.AddVariable(0.0, ub, 0.0);
-        model.AddRow(lp::RowType::kLessEqual, 0.0,
-                     {{entry->b[e], 1.0}, {entry->z[e], -ub}});
-        model.AddRowTerm(entry->budget_row,
-                         {entry->z[e],
-                          ctx.EdgeFixedCost(e) + ctx.NodeAcquisitionCost()});
-        model.AddRowTerm(entry->budget_row,
-                         {entry->b[e], ctx.EdgePerValueCost(e)});
-        ++ops;
-      }
-    }
-    const int yv = model.AddBinaryRelaxed(1.0);
-    block.vars.push_back(yv);
-    block.node_vars.push_back({i, yv});
-    for (int e : paths[i]) {
-      // Line (7): returning i's value uses every edge above i.
-      model.AddRow(lp::RowType::kLessEqual, 0.0,
-                   {{yv, 1.0}, {entry->z[e], -1.0}});
-      bandwidth_terms[e].push_back({yv, 1.0});
-    }
-  }
-  // Line (8): per-sample bandwidth constraint on every edge beneath which
-  // this sample has contributing nodes.
-  for (auto& [e, terms] : bandwidth_terms) {
-    std::vector<lp::Term> row = std::move(terms);
-    row.push_back({entry->b[e], -1.0});
-    model.AddRow(lp::RowType::kLessEqual, 0.0, std::move(row));
-  }
-  entry->live_block_vars += static_cast<int>(block.vars.size());
-  entry->blocks.push_back(std::move(block));
-  return ops + 1;
-}
-
-}  // namespace
 
 Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
                                         const sampling::SampleSet& samples,
@@ -87,132 +30,82 @@ Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
   const auto paths_ptr = GetPathCache(ctx.workspace, topo, pool);
   const std::vector<std::vector<int>>& paths = *paths_ptr;
 
-  // The LP lives in a leased workspace entry (or a throwaway local one —
-  // the seed path). Its per-sample blocks are keyed by sample stamps:
-  // samples that left the window are tombstoned (objective weight zeroed),
-  // new samples are appended, and only when tombstones outgrow the live
-  // mass is the model rebuilt from scratch.
-  PlanningWorkspace::LpLease lease;
-  LpEntry local_entry;
-  LpEntry* entry = &local_entry;
-  if (ctx.workspace != nullptr) {
-    lease = ctx.workspace->AcquireLp(LpKind::kFilter, ctx.workspace_lease);
-    entry = lease.get();
-  }
-  const uint64_t fingerprint = PlanningWorkspace::CostFingerprint(ctx);
-
-  bool rebuild =
-      entry->Stale(topo.epoch(), samples.id(), fingerprint, request.k);
-  int patch_ops = 0;
-  if (!rebuild) {
-    std::vector<uint64_t> window_stamps(S);
-    for (int j = 0; j < S; ++j) window_stamps[j] = samples.sample_stamp(j);
-    rebuild = entry->TombstoneOutsideWindow(window_stamps, &patch_ops);
-  }
-
-  if (rebuild) {
-    if (ctx.workspace != nullptr) ctx.workspace->NoteLpMiss();
-    entry->Reset();
-    lp::Model& model = entry->model;
-
-    // Only edges that lie beneath some contributing node can ever deliver
-    // a hit; restrict the program to those. Samples are scanned
-    // independently and their edge masks OR-ed together in sample order.
-    std::vector<char> relevant(n, 0);
-    if (pool != nullptr) {
-      relevant = pool->ParallelReduce<std::vector<char>>(
-          S, std::vector<char>(n, 0),
-          [&](int j) {
-            std::vector<char> mask(n, 0);
-            for (int i : samples.ones(j)) {
-              for (int e : paths[i]) mask[e] = 1;
-            }
-            return mask;
-          },
-          [](std::vector<char> acc, std::vector<char> mask) {
-            for (size_t e = 0; e < acc.size(); ++e) acc[e] |= mask[e];
-            return acc;
-          });
-    } else {
-      for (int j = 0; j < S; ++j) {
-        for (int i : samples.ones(j)) {
-          for (int e : paths[i]) relevant[e] = 1;
-        }
-      }
-    }
-
-    model.SetSense(lp::Sense::kMaximize);
-    entry->z.assign(n, -1);
-    entry->b.assign(n, -1);
-    for (int e = 0; e < n; ++e) {
-      if (e == root || !relevant[e]) continue;
-      entry->z[e] = model.AddBinaryRelaxed(0.0);
-      const double ub = std::min(request.k, topo.subtree_size(e));
-      entry->b[e] = model.AddVariable(0.0, ub, 0.0);
-      // Bandwidth requires the edge to be used (pays per-message cost).
-      model.AddRow(lp::RowType::kLessEqual, 0.0,
-                   {{entry->b[e], 1.0}, {entry->z[e], -ub}});
-    }
-
-    // y variables and their rows, one block per sample.
-    for (int j = 0; j < S; ++j) {
-      LpSampleBlock block;
-      block.stamp = samples.sample_stamp(j);
-      std::unordered_map<int, std::vector<lp::Term>> bandwidth_terms;
-      for (int i : samples.ones(j)) {
-        if (i == root) continue;  // the root's value is free
-        const int yv = model.AddBinaryRelaxed(1.0);
-        block.vars.push_back(yv);
-        block.node_vars.push_back({i, yv});
-        for (int e : paths[i]) {
-          // Line (7): returning i's value uses every edge above i.
-          model.AddRow(lp::RowType::kLessEqual, 0.0,
-                       {{yv, 1.0}, {entry->z[e], -1.0}});
-          bandwidth_terms[e].push_back({yv, 1.0});
-        }
-      }
-      // Line (8): per-sample bandwidth constraint on every edge beneath
-      // which this sample has contributing nodes.
-      for (auto& [e, terms] : bandwidth_terms) {
-        std::vector<lp::Term> row = std::move(terms);
-        row.push_back({entry->b[e], -1.0});
-        model.AddRow(lp::RowType::kLessEqual, 0.0, std::move(row));
-      }
-      entry->live_block_vars += static_cast<int>(block.vars.size());
-      entry->blocks.push_back(std::move(block));
-    }
-
-    // Line (6): the energy budget.
-    std::vector<lp::Term> cost_row;
-    for (int e = 0; e < n; ++e) {
-      if (e == root || entry->z[e] < 0) continue;
-      cost_row.push_back(
-          {entry->z[e], ctx.EdgeFixedCost(e) + ctx.NodeAcquisitionCost()});
-      cost_row.push_back({entry->b[e], ctx.EdgePerValueCost(e)});
-    }
-    entry->budget_row = model.AddRow(lp::RowType::kLessEqual,
-                                     request.energy_budget_mj, cost_row);
-    entry->built = true;
-    entry->topo_epoch = topo.epoch();
-    entry->set_id = samples.id();
-    entry->cost_fingerprint = fingerprint;
-    entry->k = request.k;
+  // Only edges that lie beneath some contributing node can ever deliver a
+  // hit; restrict the program to those. Samples are scanned independently
+  // and their edge masks OR-ed together in sample order.
+  std::vector<char> relevant(n, 0);
+  if (pool != nullptr) {
+    relevant = pool->ParallelReduce<std::vector<char>>(
+        S, std::vector<char>(n, 0),
+        [&](int j) {
+          std::vector<char> mask(n, 0);
+          for (int i : samples.ones(j)) {
+            for (int e : paths[i]) mask[e] = 1;
+          }
+          return mask;
+        },
+        [](std::vector<char> acc, std::vector<char> mask) {
+          for (size_t e = 0; e < acc.size(); ++e) acc[e] |= mask[e];
+          return acc;
+        });
   } else {
-    ctx.workspace->NoteLpHit();
-    std::unordered_set<uint64_t> known;
-    for (const LpSampleBlock& block : entry->blocks) known.insert(block.stamp);
     for (int j = 0; j < S; ++j) {
-      if (known.count(samples.sample_stamp(j))) continue;
-      patch_ops +=
-          AppendFilterBlock(entry, ctx, topo, samples, j, paths, request.k);
+      for (int i : samples.ones(j)) {
+        for (int e : paths[i]) relevant[e] = 1;
+      }
     }
-    entry->model.SetRhs(entry->budget_row, request.energy_budget_mj);
-    ++patch_ops;
-    ctx.workspace->NoteLpPatch(patch_ops);
   }
+
+  lp::Model model;
+  model.SetSense(lp::Sense::kMaximize);
+  std::vector<int> z(n, -1), b(n, -1);
+  for (int e = 0; e < n; ++e) {
+    if (e == root || !relevant[e]) continue;
+    z[e] = model.AddBinaryRelaxed(0.0);
+    const double ub = std::min(request.k, topo.subtree_size(e));
+    b[e] = model.AddVariable(0.0, ub, 0.0);
+    // Bandwidth requires the edge to be used (pays per-message cost).
+    model.AddRow(lp::RowType::kLessEqual, 0.0, {{b[e], 1.0}, {z[e], -ub}});
+  }
+
+  // y variables and their rows, one block per sample. `node_vars[j]` keeps
+  // sample j's (node, y-variable) pairs in ones(j) order for the rounding
+  // step.
+  std::vector<std::vector<std::pair<int, int>>> node_vars(S);
+  for (int j = 0; j < S; ++j) {
+    std::unordered_map<int, std::vector<lp::Term>> bandwidth_terms;
+    for (int i : samples.ones(j)) {
+      if (i == root) continue;  // the root's value is free
+      const int yv = model.AddBinaryRelaxed(1.0);
+      node_vars[j].push_back({i, yv});
+      for (int e : paths[i]) {
+        // Line (7): returning i's value uses every edge above i.
+        model.AddRow(lp::RowType::kLessEqual, 0.0, {{yv, 1.0}, {z[e], -1.0}});
+        bandwidth_terms[e].push_back({yv, 1.0});
+      }
+    }
+    // Line (8): per-sample bandwidth constraint on every edge beneath which
+    // this sample has contributing nodes.
+    for (auto& [e, terms] : bandwidth_terms) {
+      std::vector<lp::Term> row = std::move(terms);
+      row.push_back({b[e], -1.0});
+      model.AddRow(lp::RowType::kLessEqual, 0.0, std::move(row));
+    }
+  }
+
+  // Line (6): the energy budget.
+  std::vector<lp::Term> cost_row;
+  for (int e = 0; e < n; ++e) {
+    if (e == root || z[e] < 0) continue;
+    cost_row.push_back(
+        {z[e], ctx.EdgeFixedCost(e) + ctx.NodeAcquisitionCost()});
+    cost_row.push_back({b[e], ctx.EdgePerValueCost(e)});
+  }
+  model.AddRow(lp::RowType::kLessEqual, request.energy_budget_mj,
+               std::move(cost_row));
 
   Result<lp::Solution> solved =
-      lp::SimplexSolver(options_.simplex).Solve(entry->model);
+      lp::SimplexSolver(options_.simplex).Solve(model);
   if (!solved.ok()) return solved.status();
   last_stats_.lp = solved->stats;
   if (solved->status != lp::SolveStatus::kOptimal) {
@@ -222,14 +115,11 @@ Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
   last_lp_objective_ = solved->objective;
 
   // Integral bandwidths: round the y's, then give each edge the largest
-  // per-sample count of rounded entries beneath it. Dead blocks are pinned
-  // to zero and can never clear the rounding threshold, but skipping them
-  // keeps the scan proportional to the live window.
+  // per-sample count of rounded entries beneath it.
   std::vector<int> bw(n, 0);
-  for (const LpSampleBlock& block : entry->blocks) {
-    if (!block.live) continue;
+  for (const auto& sample_vars : node_vars) {
     std::unordered_map<int, int> count;
-    for (const auto& [i, yv] : block.node_vars) {
+    for (const auto& [i, yv] : sample_vars) {
       if (solved->values[yv] > options_.rounding_threshold) {
         for (int e : paths[i]) ++count[e];
       }

@@ -1,6 +1,7 @@
 #include "src/core/lp_no_filter_planner.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "src/core/plan_eval.h"
@@ -62,75 +63,44 @@ Result<QueryPlan> LpNoFilterPlanner::Plan(const PlannerContext& ctx,
   const auto paths_ptr = GetPathCache(ctx.workspace, topo, pool);
   const std::vector<std::vector<int>>& paths = *paths_ptr;
 
-  // The LP lives in a leased workspace entry (or a throwaway local one —
-  // the seed path). Its constraint matrix depends only on the topology and
-  // the cost model, so on a hit nothing but the objective (fresh column
-  // sums) and the budget RHS needs patching.
-  PlanningWorkspace::LpLease lease;
-  LpEntry local_entry;
-  LpEntry* entry = &local_entry;
-  if (ctx.workspace != nullptr) {
-    lease = ctx.workspace->AcquireLp(LpKind::kNoFilter, ctx.workspace_lease);
-    entry = lease.get();
-  }
-  const uint64_t fingerprint = PlanningWorkspace::CostFingerprint(ctx);
-  if (entry->Stale(topo.epoch(), /*sid=*/0, fingerprint, /*request_k=*/0)) {
-    if (ctx.workspace != nullptr) ctx.workspace->NoteLpMiss();
-    entry->Reset();
-
-    std::vector<double> path_value_cost(n, 0.0);
-    auto accumulate_costs = [&](int begin, int end) {
-      for (int i = begin; i < end; ++i) {
-        for (int e : paths[i]) path_value_cost[i] += ctx.EdgePerValueCost(e);
-      }
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(n, accumulate_costs);
-    } else {
-      accumulate_costs(0, n);
+  std::vector<double> path_value_cost(n, 0.0);
+  auto accumulate_costs = [&](int begin, int end) {
+    for (int i = begin; i < end; ++i) {
+      for (int e : paths[i]) path_value_cost[i] += ctx.EdgePerValueCost(e);
     }
-
-    lp::Model& model = entry->model;
-    model.SetSense(lp::Sense::kMaximize);
-    // x_i: acquire node i and ship to root. z_e: edge e carries a message.
-    entry->x.assign(n, -1);
-    entry->z.assign(n, -1);
-    for (int i = 0; i < n; ++i) {
-      if (i == root) continue;
-      entry->x[i] = model.AddBinaryRelaxed(static_cast<double>(colsum[i]));
-      entry->z[i] = model.AddBinaryRelaxed(0.0);
-    }
-
-    std::vector<lp::Term> cost_row;
-    for (int i = 0; i < n; ++i) {
-      if (i == root) continue;
-      for (int e : paths[i]) {
-        // Line (2): choosing x_i forces every edge above i into use.
-        model.AddRow(lp::RowType::kLessEqual, 0.0,
-                     {{entry->x[i], 1.0}, {entry->z[e], -1.0}});
-      }
-      cost_row.push_back(
-          {entry->x[i], path_value_cost[i] + ctx.NodeAcquisitionCost()});
-      cost_row.push_back({entry->z[i], ctx.EdgeFixedCost(i)});
-    }
-    // Line (3): the energy budget.
-    entry->budget_row = model.AddRow(lp::RowType::kLessEqual,
-                                     request.energy_budget_mj, cost_row);
-    entry->built = true;
-    entry->topo_epoch = topo.epoch();
-    entry->cost_fingerprint = fingerprint;
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(n, accumulate_costs);
   } else {
-    ctx.workspace->NoteLpHit();
-    for (int i = 0; i < n; ++i) {
-      if (i == root) continue;
-      entry->model.SetObjective(entry->x[i], static_cast<double>(colsum[i]));
-    }
-    entry->model.SetRhs(entry->budget_row, request.energy_budget_mj);
-    ctx.workspace->NoteLpPatch(n);
+    accumulate_costs(0, n);
   }
+
+  lp::Model model;
+  model.SetSense(lp::Sense::kMaximize);
+  // x_i: acquire node i and ship to root. z_e: edge e carries a message.
+  std::vector<int> x(n, -1), z(n, -1);
+  for (int i = 0; i < n; ++i) {
+    if (i == root) continue;
+    x[i] = model.AddBinaryRelaxed(static_cast<double>(colsum[i]));
+    z[i] = model.AddBinaryRelaxed(0.0);
+  }
+
+  std::vector<lp::Term> cost_row;
+  for (int i = 0; i < n; ++i) {
+    if (i == root) continue;
+    for (int e : paths[i]) {
+      // Line (2): choosing x_i forces every edge above i into use.
+      model.AddRow(lp::RowType::kLessEqual, 0.0, {{x[i], 1.0}, {z[e], -1.0}});
+    }
+    cost_row.push_back({x[i], path_value_cost[i] + ctx.NodeAcquisitionCost()});
+    cost_row.push_back({z[i], ctx.EdgeFixedCost(i)});
+  }
+  // Line (3): the energy budget.
+  model.AddRow(lp::RowType::kLessEqual, request.energy_budget_mj,
+               std::move(cost_row));
 
   Result<lp::Solution> solved =
-      lp::SimplexSolver(options_.simplex).Solve(entry->model);
+      lp::SimplexSolver(options_.simplex).Solve(model);
   if (!solved.ok()) return solved.status();
   last_stats_.lp = solved->stats;
   if (solved->status != lp::SolveStatus::kOptimal) {
@@ -143,7 +113,7 @@ Result<QueryPlan> LpNoFilterPlanner::Plan(const PlannerContext& ctx,
   std::vector<char> chosen(n, 0);
   for (int i = 0; i < n; ++i) {
     if (i == root) continue;
-    chosen[i] = solved->values[entry->x[i]] > options_.rounding_threshold ? 1 : 0;
+    chosen[i] = solved->values[x[i]] > options_.rounding_threshold ? 1 : 0;
   }
 
   // Repair: rounding can cost up to 2C; drop the cheapest-to-lose choices

@@ -197,25 +197,20 @@ using PlannerFactory = std::function<std::unique_ptr<Planner>()>;
 /// vector is indexed by request either way, so output is identical for
 /// any thread count.
 ///
-/// When a workspace is available (the `workspace` argument, or one already
-/// on `ctx`), each request leases the workspace slot keyed by its request
-/// index — a deterministic assignment, so every sweep sees the same cache
-/// history regardless of thread scheduling, and concurrent requests never
-/// contend for one LP entry.
+/// A workspace on `ctx` is shared by every request: its caches are
+/// immutable snapshots keyed by topology epoch and sample window, so
+/// concurrent requests read the same lists and plan exactly as they would
+/// without it.
 inline std::vector<Result<QueryPlan>> PlanSweep(
     const PlannerFactory& factory, const PlannerContext& ctx,
     const sampling::SampleSet& samples,
     const std::vector<PlanRequest>& requests,
-    util::ThreadPool* pool = nullptr,
-    PlanningWorkspace* workspace = nullptr) {
+    util::ThreadPool* pool = nullptr) {
   std::vector<Result<QueryPlan>> results(
       requests.size(), Result<QueryPlan>(Status::Internal("not planned")));
   auto solve_range = [&](int begin, int end) {
     for (int i = begin; i < end; ++i) {
-      PlannerContext local = ctx;
-      if (workspace != nullptr) local.workspace = workspace;
-      if (local.workspace != nullptr) local.workspace_lease = i;
-      results[i] = factory()->Plan(local, samples, requests[i]);
+      results[i] = factory()->Plan(ctx, samples, requests[i]);
     }
   };
   const int n = static_cast<int>(requests.size());

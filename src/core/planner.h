@@ -25,14 +25,11 @@ struct PlannerContext {
   net::EnergyModel energy;
   net::FailureModel failures;
 
-  /// Shared incremental planning state (see core/workspace.h), or nullptr
-  /// for the from-scratch seed behavior. Plans are bit-identical either
-  /// way; the workspace only changes how much work producing them takes.
+  /// Shared planning caches (see core/workspace.h), or nullptr for the
+  /// from-scratch seed behavior. Plans are bit-identical either way; the
+  /// workspace only changes how much work producing them takes. Concurrent
+  /// planners may share one.
   PlanningWorkspace* workspace = nullptr;
-  /// Which cached-LP slot this planner may lease. Concurrent planners
-  /// (a PlanSweep) must use distinct keys — the sweep assigns the request
-  /// index — so that cache histories stay deterministic.
-  int workspace_lease = 0;
 
   /// Expected cost of a message with `num_values` readings on `child_edge`.
   double EdgeMessageCost(int child_edge, int num_values) const {

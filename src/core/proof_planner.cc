@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <vector>
 
 #include "src/core/workspace.h"
@@ -16,15 +15,13 @@ namespace {
 // Builds sample j's proof block — the p[i][m] variables plus rows
 // (12)/(13)/(14) — into the model. A block is self-contained: it
 // references only its own p variables and the shared per-edge bandwidths
-// b, so appending one when the window slides never touches existing rows.
-void AppendProofBlock(LpEntry* entry, const net::Topology& topo,
+// `b` (the LP variable of each edge, -1 at the root).
+void AppendProofBlock(lp::Model* model, const std::vector<int>& b,
+                      const net::Topology& topo,
                       const sampling::SampleSet& samples, int j,
                       const PlanningWorkspace::IntLists& anc,
                       const PlanningWorkspace::IntLists& desc) {
-  lp::Model& model = entry->model;
   const int n = topo.num_nodes();
-  LpSampleBlock block;
-  block.stamp = samples.sample_stamp(j);
 
   // p maps (i, ancestor-position m) -> LP variable.
   // Objective: top-k entries proven at the root.
@@ -35,8 +32,7 @@ void AppendProofBlock(LpEntry* entry, const net::Topology& topo,
         samples.Contributes(j, i);  // in ones(j): proven-at-root scores
     for (size_t m = 0; m < anc[i].size(); ++m) {
       const bool is_root_level = (m + 1 == anc[i].size());
-      p[i][m] = model.AddBinaryRelaxed(counts && is_root_level ? 1.0 : 0.0);
-      block.vars.push_back(p[i][m]);
+      p[i][m] = model->AddBinaryRelaxed(counts && is_root_level ? 1.0 : 0.0);
     }
   }
 
@@ -49,8 +45,8 @@ void AppendProofBlock(LpEntry* entry, const net::Topology& topo,
       const int m = topo.depth(i) - topo.depth(v);
       row.push_back({p[i][m], 1.0});
     }
-    row.push_back({entry->b[v], -1.0});
-    model.AddRow(lp::RowType::kLessEqual, 0.0, std::move(row));
+    row.push_back({b[v], -1.0});
+    model->AddRow(lp::RowType::kLessEqual, 0.0, std::move(row));
   }
 
   for (int i = 0; i < n; ++i) {
@@ -59,8 +55,8 @@ void AppendProofBlock(LpEntry* entry, const net::Topology& topo,
       // Line (13): proven at a requires proven at the previous node on
       // the path from i.
       if (m > 0) {
-        model.AddRow(lp::RowType::kLessEqual, 0.0,
-                     {{p[i][m], 1.0}, {p[i][m - 1], -1.0}});
+        model->AddRow(lp::RowType::kLessEqual, 0.0,
+                      {{p[i][m], 1.0}, {p[i][m - 1], -1.0}});
       }
       // Line (14): every off-path child of a must prove a smaller value.
       const int path_child = m > 0 ? anc[i][m - 1] : -1;
@@ -78,14 +74,11 @@ void AppendProofBlock(LpEntry* entry, const net::Topology& topo,
         // The (c.3) exception: no smaller value exists in c's subtree;
         // the constraint is omitted (the paper's formulation).
         if (any_smaller) {
-          model.AddRow(lp::RowType::kLessEqual, 0.0, std::move(row));
+          model->AddRow(lp::RowType::kLessEqual, 0.0, std::move(row));
         }
       }
     }
   }
-
-  entry->live_block_vars += static_cast<int>(block.vars.size());
-  entry->blocks.push_back(std::move(block));
 }
 
 }  // namespace
@@ -143,7 +136,7 @@ Result<QueryPlan> ProofPlanner::Plan(const PlannerContext& ctx,
   const PlanningWorkspace::IntLists& anc = *anc_ptr;
   const PlanningWorkspace::IntLists& desc = *desc_ptr;
 
-  // Budget decomposition used by both build paths and the repair loop:
+  // Budget decomposition used by the LP's budget row and the repair loop:
   // per-message costs and count-byte reserves are a constant floor; only
   // the per-value bandwidth mass is the LP's to spend.
   const double fixed_part = floor_cost -
@@ -157,76 +150,31 @@ Result<QueryPlan> ProofPlanner::Plan(const PlannerContext& ctx,
                               return one_value;
                             }();
 
-  PlanningWorkspace::LpLease lease;
-  LpEntry local_entry;
-  LpEntry* entry = &local_entry;
-  if (ctx.workspace != nullptr) {
-    lease = ctx.workspace->AcquireLp(LpKind::kProof, ctx.workspace_lease);
-    entry = lease.get();
-  }
-  const uint64_t fingerprint = PlanningWorkspace::CostFingerprint(ctx);
+  lp::Model model;
+  model.SetSense(lp::Sense::kMaximize);
 
-  bool rebuild = entry->Stale(topo.epoch(), all_samples.id(), fingerprint,
-                              options_.max_proof_samples);
-  int patch_ops = 0;
-  if (!rebuild) {
-    std::vector<uint64_t> window_stamps(W);
-    for (int w = 0; w < W; ++w) {
-      window_stamps[w] = all_samples.sample_stamp(offset + w);
-    }
-    rebuild = entry->TombstoneOutsideWindow(window_stamps, &patch_ops);
+  // Bandwidths: at least one value on every edge.
+  std::vector<int> b(n, -1);
+  for (int e = 0; e < n; ++e) {
+    if (e == root) continue;
+    b[e] = model.AddVariable(1.0, topo.subtree_size(e), 0.0);
   }
 
-  if (rebuild) {
-    if (ctx.workspace != nullptr) ctx.workspace->NoteLpMiss();
-    entry->Reset();
-    lp::Model& model = entry->model;
-    model.SetSense(lp::Sense::kMaximize);
-
-    // Bandwidths: at least one value on every edge.
-    entry->b.assign(n, -1);
-    for (int e = 0; e < n; ++e) {
-      if (e == root) continue;
-      entry->b[e] = model.AddVariable(1.0, topo.subtree_size(e), 0.0);
-    }
-
-    for (int w = 0; w < W; ++w) {
-      AppendProofBlock(entry, topo, all_samples, offset + w, anc, desc);
-    }
-
-    // Line (11): budget over the bandwidth-dependent part.
-    std::vector<lp::Term> cost_row;
-    for (int e = 0; e < n; ++e) {
-      if (e == root) continue;
-      cost_row.push_back({entry->b[e], ctx.EdgePerValueCost(e)});
-    }
-    entry->budget_row =
-        model.AddRow(lp::RowType::kLessEqual,
-                     request.energy_budget_mj - fixed_part,
-                     std::move(cost_row));
-    entry->built = true;
-    entry->topo_epoch = topo.epoch();
-    entry->set_id = all_samples.id();
-    entry->cost_fingerprint = fingerprint;
-    entry->k = options_.max_proof_samples;
-  } else {
-    ctx.workspace->NoteLpHit();
-    std::unordered_set<uint64_t> known;
-    for (const LpSampleBlock& block : entry->blocks) known.insert(block.stamp);
-    for (int w = 0; w < W; ++w) {
-      const int j = offset + w;
-      if (known.count(all_samples.sample_stamp(j))) continue;
-      AppendProofBlock(entry, topo, all_samples, j, anc, desc);
-      ++patch_ops;
-    }
-    entry->model.SetRhs(entry->budget_row,
-                        request.energy_budget_mj - fixed_part);
-    ++patch_ops;
-    ctx.workspace->NoteLpPatch(patch_ops);
+  for (int w = 0; w < W; ++w) {
+    AppendProofBlock(&model, b, topo, all_samples, offset + w, anc, desc);
   }
+
+  // Line (11): budget over the bandwidth-dependent part.
+  std::vector<lp::Term> cost_row;
+  for (int e = 0; e < n; ++e) {
+    if (e == root) continue;
+    cost_row.push_back({b[e], ctx.EdgePerValueCost(e)});
+  }
+  model.AddRow(lp::RowType::kLessEqual, request.energy_budget_mj - fixed_part,
+               std::move(cost_row));
 
   Result<lp::Solution> solved =
-      lp::SimplexSolver(options_.simplex).Solve(entry->model);
+      lp::SimplexSolver(options_.simplex).Solve(model);
   if (!solved.ok()) return solved.status();
   last_stats_.lp = solved->stats;
   if (solved->status != lp::SolveStatus::kOptimal) {
@@ -240,7 +188,7 @@ Result<QueryPlan> ProofPlanner::Plan(const PlannerContext& ctx,
   std::vector<double> frac(n, 0.0);
   for (int e = 0; e < n; ++e) {
     if (e == root) continue;
-    frac[e] = solved->values[entry->b[e]];
+    frac[e] = solved->values[b[e]];
     bw[e] = std::clamp(static_cast<int>(std::floor(frac[e] + 0.5)), 1,
                        topo.subtree_size(e));
   }

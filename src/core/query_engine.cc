@@ -16,12 +16,11 @@ QueryEngine::QueryEngine(const net::Topology* topology,
                          QueryEngineOptions options, uint64_t seed)
     : topology_(topology),
       options_(options),
-      ctx_{topology, energy, failures},
+      ctx_{topology, energy, failures, &workspace_},
       sim_(topology, energy, failures, seed),
       rng_(seed ^ 0x5e551011),
       seed_(seed),
       original_num_nodes_(topology->num_nodes()) {
-  if (options_.use_workspace) ctx_.workspace = &workspace_;
   if (!options_.faults.empty()) {
     injecting_ = true;
     injector_ = net::FaultInjector(topology->num_nodes(), options_.faults,
@@ -82,17 +81,10 @@ Result<int> QueryEngine::AddQueryWithId(int id, const QuerySpec& spec) {
 bool QueryEngine::RemoveQuery(int id) {
   const bool removed = registry_.Remove(id);
   if (removed) {
-    workspace_.DropLps(id);  // leases are keyed by query id
     PROSPECTOR_COUNTER_ADD("engine.queries_retired", 1);
     PROSPECTOR_FLIGHT(kNote, "engine.retire", id, registry_.size(), 0);
   }
   return removed;
-}
-
-PlannerContext QueryEngine::CtxFor(int lease) const {
-  PlannerContext ctx = ctx_;
-  ctx.workspace_lease = lease;
-  return ctx;
 }
 
 net::TransmissionStats QueryEngine::TakeRadioStats() {
@@ -104,8 +96,7 @@ net::TransmissionStats QueryEngine::TakeRadioStats() {
 Result<bool> QueryEngine::ReplanQuery(QueryState* q) {
   PROSPECTOR_SPAN("session.replan");
   const int64_t start_us = obs::MonotonicNowUs();
-  const PlannerContext ctx = CtxFor(q->id);
-  auto changed = q->manager.MaybeReplan(ctx, q->samples, &sim_);
+  auto changed = q->manager.MaybeReplan(ctx_, q->samples, &sim_);
   q->last_replan_latency_ms =
       static_cast<double>(obs::MonotonicNowUs() - start_us) / 1000.0;
   if (changed.ok() && *changed) {
@@ -233,13 +224,10 @@ Result<bool> QueryEngine::MaybeHeal(TickResult* result) {
   owned_topology_ =
       std::make_unique<net::Topology>(std::move(rebuilt->topology));
   topology_ = owned_topology_.get();
-  ctx_ = PlannerContext{topology_, ctx_.energy, failures};
-  if (options_.use_workspace) {
-    // The rebuilt tree is a new epoch and the remapped windows a new
-    // lineage — every cache would miss; Clear releases the memory now.
-    workspace_.Clear();
-    ctx_.workspace = &workspace_;
-  }
+  // The rebuilt tree is a new epoch and the remapped windows a new
+  // lineage — every cache would miss; Clear releases the memory now.
+  workspace_.Clear();
+  ctx_ = PlannerContext{topology_, ctx_.energy, failures, &workspace_};
   ++rebuilds_;
   sim_ = net::NetworkSimulator(
       topology_, ctx_.energy, failures,
@@ -492,7 +480,7 @@ Result<QueryEngine::TickResult> QueryEngine::Tick(
       q->queries_since_audit = 0;
       qr.kind = QueryEpochKind::kAudit;
       auto exact = RunProspectorExact(
-          CtxFor(q->id), q->samples, q->spec.k,
+          ctx_, q->samples, q->spec.k,
           ProofPlanner::MinimumCost(ctx_) * q->spec.audit_budget_factor,
           *cur_truth, &sim_, q->spec.lp, guard());
       [[maybe_unused]] const double audit_ledger_mj =

@@ -27,10 +27,6 @@ struct QueryEngineOptions {
   /// The first epochs always run full sweeps to seed the windows.
   int bootstrap_sweeps = 8;
 
-  /// One PlanningWorkspace shared by every query's replans; each query
-  /// leases its own LP slot (keyed by query id), so caches never collide.
-  bool use_workspace = true;
-
   /// Scripted fault timeline (engine epoch == event epoch). Empty = none.
   net::FaultSchedule faults;
   /// Transport tier 2: bounded retries with backoff, then genuine drops.
@@ -126,8 +122,7 @@ class QueryEngine {
   /// the id was ever used on this engine — ids never alias, so a retired
   /// query's attribution pools and health windows cannot be revived.
   Result<int> AddQueryWithId(int id, const QuerySpec& spec);
-  /// Retires a query. Its attributed energy stays in the engine totals;
-  /// its cached LPs are dropped from the workspace.
+  /// Retires a query. Its attributed energy stays in the engine totals.
   bool RemoveQuery(int id);
   int num_queries() const { return registry_.size(); }
   std::vector<int> query_ids() const { return registry_.ids(); }
@@ -189,7 +184,6 @@ class QueryEngine {
  private:
   const QueryState& At(int id) const;
   void HydrateNewQuery(QueryState* q);
-  PlannerContext CtxFor(int lease) const;
   TransportGuard* guard() { return guarding_ ? &guard_ : nullptr; }
   /// Drains the simulator's ledger into `radio_totals_` (every phase ends
   /// through here so the cumulative accounting survives ResetStats).

@@ -10,7 +10,6 @@ QueryEngineOptions EngineOptionsFrom(const SessionOptions& options) {
   QueryEngineOptions eo;
   eo.sample_window = options.sample_window;
   eo.bootstrap_sweeps = options.bootstrap_sweeps;
-  eo.use_workspace = options.use_workspace;
   eo.faults = options.faults;
   eo.lossy = options.lossy;
   eo.dead_after_epochs = options.dead_after_epochs;

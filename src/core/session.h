@@ -30,13 +30,6 @@ struct SessionOptions {
   /// Phase-1 budget of an audit, as a multiple of the proof floor.
   double audit_budget_factor = 1.15;
 
-  // --- Incremental planning (DESIGN.md, "Incremental planning") ---
-  /// The session owns a PlanningWorkspace and threads it through every
-  /// replan, so steady-state epochs reuse cached LP skeletons and skip
-  /// replans whose inputs did not move. Disable to force the from-scratch
-  /// path.
-  bool use_workspace = true;
-
   // --- Robustness (DESIGN.md, "Failure semantics") ---
   /// Scripted fault timeline, driven by the session clock (event epoch ==
   /// Tick count). Node ids refer to the construction-time topology; the

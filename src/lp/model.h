@@ -76,30 +76,6 @@ class Model {
   void SetSense(Sense sense) { sense_ = sense; }
   Sense sense() const { return sense_; }
 
-  // --- In-place patching (incremental re-optimization) -------------------
-  // A cached model can be re-pointed at drifted data — new sample column
-  // sums in the objective, a new budget on a constraint's RHS, a variable
-  // tombstoned by fixing its bounds — without rebuilding rows. Patching
-  // only coefficients keeps row/variable order identical to a from-scratch
-  // build, which is what makes cached-model solves reproducible.
-
-  /// Replaces variable i's objective coefficient.
-  void SetObjective(int var, double objective) {
-    variables_[var].objective = objective;
-  }
-  /// Replaces variable i's bounds. Fixing to [0, 0] retires the variable:
-  /// the solver never lets a fixed column enter the basis, so its rows
-  /// degenerate to constraints among the remaining variables.
-  void SetBounds(int var, double lower, double upper) {
-    variables_[var].lower = lower;
-    variables_[var].upper = upper;
-  }
-  /// Replaces row r's right-hand side.
-  void SetRhs(int row, double rhs) { rows_[row].rhs = rhs; }
-  /// Appends a term to an existing row — incremental model growth, e.g. a
-  /// newly created edge variable joining the shared budget constraint.
-  void AddRowTerm(int row, Term term) { rows_[row].terms.push_back(term); }
-
   int num_variables() const { return static_cast<int>(variables_.size()); }
   int num_rows() const { return static_cast<int>(rows_.size()); }
 

@@ -51,8 +51,8 @@ class Topology {
   /// Construction stamp, unique per FromParents call (copies share it —
   /// they describe the same tree). A rebuild after node failures
   /// (Section 4.4) therefore carries a new epoch, which is what
-  /// invalidates every epoch-keyed planning cache: path caches, ancestor
-  /// lists, and LP skeletons key on this value. The default-constructed
+  /// invalidates every epoch-keyed planning cache: path, ancestor and
+  /// descendant lists key on this value. The default-constructed
   /// placeholder has epoch 0, which no built topology ever uses.
   uint64_t epoch() const { return epoch_; }
 

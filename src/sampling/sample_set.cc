@@ -89,32 +89,7 @@ void SampleSet::Add(std::vector<double> values) {
       --total_ones_;
     }
     samples_.pop_front();
-    eviction_log_.push_back(version_);
-    if (eviction_log_.size() > kEvictionLogCap) {
-      eviction_log_floor_ = eviction_log_.front();
-      eviction_log_.pop_front();
-    }
   }
-}
-
-SampleSetDelta SampleSet::DeltaSince(uint64_t version) const {
-  SampleSetDelta d;
-  // Foreign or future versions — including any version remembered before a
-  // Remapped/Recent rebuilt the lineage — cannot be described as a delta.
-  if (version < created_version_ || version > version_) return d;
-  if (version < eviction_log_floor_) return d;  // eviction history trimmed
-  for (auto it = eviction_log_.rbegin();
-       it != eviction_log_.rend() && *it > version; ++it) {
-    ++d.evicted;
-  }
-  for (auto it = samples_.rbegin();
-       it != samples_.rend() && it->stamp > version; ++it) {
-    ++d.added;
-  }
-  // Only a pure append is a usable delta: an eviction shifts the indices
-  // of every retained row, so incremental consumers must rebuild.
-  d.valid = d.evicted == 0;
-  return d;
 }
 
 void SampleSet::AddTrace(const data::Trace& trace) {

@@ -21,19 +21,6 @@ namespace sampling {
 using ContributorFn =
     std::function<std::vector<int>(const std::vector<double>&)>;
 
-/// What happened to a SampleSet between a remembered version and now
-/// (see SampleSet::DeltaSince). `valid` means the change since the
-/// reference version is a pure append of `added` rows — the only shape an
-/// incremental consumer (cached scans, patched LP blocks) can apply
-/// without re-reading the window. Evictions shift row indices and remaps
-/// rewrite every row, so both report `valid == false`; the counts are
-/// still filled in when the retained history can determine them.
-struct SampleSetDelta {
-  bool valid = false;
-  int added = 0;
-  int evicted = 0;
-};
-
 /// The sample store at the heart of sampling-based query planning
 /// (Section 3): a sliding window of past network-wide readings plus their
 /// Boolean contribution rows and maintained column sums.
@@ -89,20 +76,13 @@ class SampleSet {
   uint64_t version() const { return version_; }
   /// Identity of this window's lineage: the stamp the set was created
   /// with. Remapped/Recent results are new lineages; versions from one
-  /// lineage mean nothing to another (DeltaSince reports them invalid).
+  /// lineage mean nothing to another.
   uint64_t id() const { return created_version_; }
   /// The stamp the Add that created sample j assigned. Stable while the
   /// sample stays in the window (indices shift on eviction; stamps do
-  /// not), which is what lets cached per-sample LP blocks be reconciled
-  /// against the current window after it slides.
+  /// not), which is what lets a cached HitMatrix reconcile its rows with
+  /// the current window after it slides.
   uint64_t sample_stamp(int j) const { return samples_[j].stamp; }
-
-  /// Describes the change since `version` (a value this set's version()
-  /// returned earlier). Pure appends are valid deltas; evictions and
-  /// remaps invalidate (see SampleSetDelta). Versions from before this
-  /// set's creation — e.g. remembered across a Remapped — are invalid by
-  /// construction.
-  SampleSetDelta DeltaSince(uint64_t version) const;
 
   double value(int j, int i) const { return samples_[j].values[i]; }
   const std::vector<double>& sample_values(int j) const {
@@ -136,11 +116,6 @@ class SampleSet {
     uint64_t stamp = 0;
   };
 
-  /// Evictions older than this many entries are forgotten; DeltaSince
-  /// calls reaching past the retained log report invalid (callers rebuild
-  /// from scratch, which is always correct).
-  static constexpr size_t kEvictionLogCap = 1024;
-
   int num_nodes_;
   ContributorFn contributor_;
   size_t window_;
@@ -149,10 +124,6 @@ class SampleSet {
   int total_ones_ = 0;
   uint64_t created_version_ = 0;
   uint64_t version_ = 0;
-  /// version() values at which a row was evicted, oldest first.
-  std::deque<uint64_t> eviction_log_;
-  /// Versions at or below this may predate trimmed eviction-log entries.
-  uint64_t eviction_log_floor_ = 0;
 };
 
 }  // namespace sampling

@@ -46,6 +46,26 @@ TEST(ClusterByGridTest, NonGeometricTopologyHasNoClusters) {
   EXPECT_EQ(c.num_clusters, 0);
 }
 
+// ---- Root placement: the root need not be node 0 (topology.h). ----
+
+TEST(RootPlacementTest, ClustersMatchAcrossRootRelabelling) {
+  // The chain leaf -> mid -> root labelled root-last ({1, 2, root}) and
+  // root-first ({root, 0, 1}), laid out at x = 10, 5, 0 from the leaf: on
+  // a 2x1 grid the leaf and the mid node share the right-hand cell and the
+  // root stays unclustered, whatever its id.
+  auto root_last = net::Topology::FromParents({1, 2, net::Topology::kNoParent});
+  auto root_first =
+      net::Topology::FromParents({net::Topology::kNoParent, 0, 1});
+  ASSERT_TRUE(root_last.ok() && root_first.ok());
+  root_last->set_positions({{10.0, 0.0}, {5.0, 0.0}, {0.0, 0.0}});
+  root_first->set_positions({{0.0, 0.0}, {5.0, 0.0}, {10.0, 0.0}});
+
+  EXPECT_EQ(ClusterByGrid(*root_last, 2, 1).cluster_of_node,
+            (std::vector<int>{0, 0, -1}));
+  EXPECT_EQ(ClusterByGrid(*root_first, 2, 1).cluster_of_node,
+            (std::vector<int>{-1, 0, 0}));
+}
+
 TEST(ClusterMathTest, AveragesAndTopClusters) {
   Clustering c;
   c.num_clusters = 3;

@@ -1,5 +1,7 @@
 #include "src/core/event_sim.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "src/util/rng.h"
@@ -85,6 +87,33 @@ TEST(EventSimTest, EmptyPlanCompletesInstantly) {
   EventSimResult r = SimulateCollectionPhase(p, topo, kEnergy, kTiming);
   EXPECT_DOUBLE_EQ(r.completion_s, 0.0);
   EXPECT_EQ(r.transmissions, 0);
+}
+
+// ---- Root placement: the root need not be node 0 (topology.h). ----
+
+TEST(RootPlacementTest, EventSimMatchesAcrossRootRelabelling) {
+  // The chain leaf -> mid -> root labelled root-last ({1, 2, root}) and
+  // root-first ({root, 0, 1}): node i of one is node 2 - i of the other.
+  auto root_last = net::Topology::FromParents({1, 2, net::Topology::kNoParent});
+  auto root_first =
+      net::Topology::FromParents({net::Topology::kNoParent, 0, 1});
+  ASSERT_TRUE(root_last.ok() && root_first.ok());
+  auto reversed = [](auto v) {
+    std::reverse(v.begin(), v.end());
+    return v;
+  };
+
+  // Both edges carry one value: two transmissions back to back.
+  const EventSimResult last = SimulateCollectionPhase(
+      QueryPlan::Bandwidth(1, {1, 1, 0}), *root_last, kEnergy, kTiming);
+  const EventSimResult first = SimulateCollectionPhase(
+      QueryPlan::Bandwidth(1, {0, 1, 1}), *root_first, kEnergy, kTiming);
+  EXPECT_EQ(last.transmissions, 2);
+  EXPECT_EQ(first.transmissions, 2);
+  EXPECT_NEAR(last.completion_s, 2 * Tx(1), 1e-12);
+  EXPECT_EQ(last.completion_s, first.completion_s);
+  EXPECT_EQ(last.node_airtime_s, reversed(first.node_airtime_s));
+  EXPECT_EQ(last.node_blocked_s, reversed(first.node_blocked_s));
 }
 
 }  // namespace

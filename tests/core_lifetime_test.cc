@@ -28,7 +28,7 @@ TEST(LifetimeTest, PerNodeEnergyMatchesLedgerAttribution) {
 
 TEST(LifetimeTest, FirstDeathArithmetic) {
   net::Topology topo = net::BuildChain(3);
-  BatteryModel batteries = BatteryModel::Uniform(3, 100.0);
+  BatteryModel batteries = BatteryModel::Uniform(topo, 100.0);
   LifetimeEstimate est = EstimateLifetime(topo, batteries, {0.0, 4.0, 2.0});
   EXPECT_NEAR(est.queries_until_first_death, 25.0, 1e-12);
   EXPECT_EQ(est.first_casualty, 1);
@@ -38,7 +38,7 @@ TEST(LifetimeTest, FirstDeathArithmetic) {
 
 TEST(LifetimeTest, LeafDeathsDoNotPartition) {
   net::Topology topo = net::BuildStar(4);
-  BatteryModel batteries = BatteryModel::Uniform(4, 10.0);
+  BatteryModel batteries = BatteryModel::Uniform(topo, 10.0);
   LifetimeEstimate est = EstimateLifetime(topo, batteries, {0, 1.0, 2.0, 0.5});
   EXPECT_NEAR(est.queries_until_first_death, 5.0, 1e-12);
   EXPECT_EQ(est.first_casualty, 2);
@@ -47,7 +47,7 @@ TEST(LifetimeTest, LeafDeathsDoNotPartition) {
 
 TEST(LifetimeTest, IdleNetworkLivesForever) {
   net::Topology topo = net::BuildChain(3);
-  BatteryModel batteries = BatteryModel::Uniform(3, 10.0);
+  BatteryModel batteries = BatteryModel::Uniform(topo, 10.0);
   LifetimeEstimate est = EstimateLifetime(topo, batteries, {0.0, 0.0, 0.0});
   EXPECT_TRUE(std::isinf(est.queries_until_first_death));
   EXPECT_EQ(est.first_casualty, -1);
@@ -67,7 +67,7 @@ TEST(LifetimeTest, BudgetedPlansOutliveNaiveK) {
   PlannerContext ctx;
   ctx.topology = &topo;
   net::NetworkSimulator sim(&topo, ctx.energy);
-  const BatteryModel batteries = BatteryModel::Uniform(70, 50000.0);
+  const BatteryModel batteries = BatteryModel::Uniform(topo, 50000.0);
 
   LpFilterPlanner planner;
   auto plan = planner.Plan(ctx, samples, PlanRequest{10, 8.0});
@@ -78,6 +78,50 @@ TEST(LifetimeTest, BudgetedPlansOutliveNaiveK) {
       EstimatePlanLifetime(MakeNaiveKPlan(topo, 10), sim, batteries);
   EXPECT_GT(approx.queries_until_first_death,
             naive.queries_until_first_death);
+}
+
+// ---- Root placement: the root need not be node 0 (topology.h). ----
+
+TEST(RootPlacementTest, LifetimeMatchesAcrossRootRelabelling) {
+  // The chain leaf -> mid -> root labelled {mid, leaf, root} and root-first
+  // {root, mid, leaf}: node i of the first is node relabel[i] of the
+  // second, so every per-node result must match after relabelling it.
+  auto mid_first = net::Topology::FromParents({2, 0, net::Topology::kNoParent});
+  auto root_first =
+      net::Topology::FromParents({net::Topology::kNoParent, 0, 1});
+  ASSERT_TRUE(mid_first.ok() && root_first.ok());
+  const std::vector<int> relabel = {1, 2, 0};
+  auto relabelled = [&](const std::vector<double>& v) {
+    std::vector<double> out(v.size());
+    for (size_t i = 0; i < v.size(); ++i) out[relabel[i]] = v[i];
+    return out;
+  };
+
+  // Both edges carry one value.
+  net::NetworkSimulator sim_mid(&mid_first.value(), net::EnergyModel{});
+  net::NetworkSimulator sim_root(&root_first.value(), net::EnergyModel{});
+  EXPECT_EQ(relabelled(ExpectedPerNodeEnergy(
+                QueryPlan::Bandwidth(1, {1, 1, 0}), sim_mid)),
+            ExpectedPerNodeEnergy(QueryPlan::Bandwidth(1, {0, 1, 1}),
+                                  sim_root));
+
+  const BatteryModel batteries_mid = BatteryModel::Uniform(*mid_first, 100.0);
+  const BatteryModel batteries_root =
+      BatteryModel::Uniform(*root_first, 100.0);
+  EXPECT_EQ(relabelled(batteries_mid.capacity_mj), batteries_root.capacity_mj);
+
+  // The mid node relays the leaf's demand: its death at 100 / 4 = 25
+  // queries partitions the network, whatever its id.
+  const std::vector<double> load_mid = {4.0, 1.0, 0.5};
+  const LifetimeEstimate mid =
+      EstimateLifetime(*mid_first, batteries_mid, load_mid);
+  const LifetimeEstimate root =
+      EstimateLifetime(*root_first, batteries_root, relabelled(load_mid));
+  EXPECT_DOUBLE_EQ(mid.queries_until_partition, 25.0);
+  EXPECT_DOUBLE_EQ(root.queries_until_partition, 25.0);
+  EXPECT_DOUBLE_EQ(mid.queries_until_first_death,
+                   root.queries_until_first_death);
+  EXPECT_EQ(relabel[mid.first_casualty], root.first_casualty);
 }
 
 }  // namespace

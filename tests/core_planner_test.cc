@@ -114,15 +114,15 @@ TEST_P(LpNoFilterPropertyTest, BudgetRespectedAndBeatsGreedyObjective) {
   for (int j = 0; j < inst.samples.num_samples(); ++j) {
     root_ones += inst.samples.Contributes(j, inst.topology.root());
   }
-  const int lp_hits = SampleHits(*lp_plan, inst.topology, inst.samples);
+  const int lp_plan_hits = SampleHits(*lp_plan, inst.topology, inst.samples);
   const int greedy_hits =
       SampleHits(*greedy_plan, inst.topology, inst.samples);
   // The fractional optimum bounds every integral plan.
-  EXPECT_GE(lp.last_lp_objective() + root_ones, lp_hits - 1e-6);
+  EXPECT_GE(lp.last_lp_objective() + root_ones, lp_plan_hits - 1e-6);
   EXPECT_GE(lp.last_lp_objective() + root_ones, greedy_hits - 1e-6);
   // With repair+fill, the topology-aware LP should not lose to greedy by
   // more than a whisker on sample hits.
-  EXPECT_GE(lp_hits, greedy_hits * 0.9 - 1.0);
+  EXPECT_GE(lp_plan_hits, greedy_hits * 0.9 - 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LpNoFilterPropertyTest, ::testing::Range(1, 13));

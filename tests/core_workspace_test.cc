@@ -1,10 +1,9 @@
-// Contract of the incremental planning workspace: threading a
-// PlanningWorkspace through any planner changes how much work planning
-// costs, never what plan comes out. Every planner is swept across
-// sliding sample windows and topology rebuilds with and without a
-// workspace, and both must agree bit for bit, serially and pooled. Plus
-// the cache-policy units: lease collisions, eviction by lease key,
-// PlanManager's steady-state short-circuit, and counter surfacing.
+// Contract of the planning workspace: threading a PlanningWorkspace
+// through any planner changes how much work planning costs, never what
+// plan comes out. Every planner is swept across sliding sample windows and
+// topology rebuilds with and without a workspace, and both must agree bit
+// for bit, serially and pooled. Plus the cache units: Clear, PlanManager's
+// steady-state short-circuit, and counter surfacing.
 
 #include <gtest/gtest.h>
 
@@ -94,7 +93,7 @@ double LastLpObjective(Planner* planner, int which) {
 
 // The acceptance sweep: every planner, across a sliding window and a
 // topology rebuild, plans bit-identically with no workspace and with one
-// (cached models patched, tombstoned, grown, and solved once per plan).
+// (cached topology lists and hit matrices).
 void RunIdentitySweep(int threads) {
   for (int which = 0; which < 4; ++which) {
     Instance inst = MakeInstance(36, 6, 10, 90 + which, /*window=*/10);
@@ -125,14 +124,14 @@ void RunIdentitySweep(int threads) {
 
     plan_all("cold");
     // Slide the window: three appends (evicting three rows) per step, so
-    // cached LPs tombstone old blocks and append fresh ones.
+    // the cached hit matrix tombstones old rows and appends fresh ones.
     for (int step = 0; step < 3; ++step) {
       for (int add = 0; add < 3; ++add) {
         inst.samples.Add(inst.field.Sample(&inst.rng));
       }
       plan_all("slide step " + std::to_string(step));
     }
-    // Budget drift patches the RHS without rebuilding.
+    // Budget drift over an unchanged window: every cache hits.
     request.energy_budget_mj *= 1.25;
     plan_all("budget drift");
 
@@ -152,13 +151,13 @@ void RunIdentitySweep(int threads) {
 
     // The workspace must actually have been exercised, not bypassed.
     const WorkspaceCounters t = ws.counters();
-    EXPECT_GT(t.topo_hits + t.topo_misses, 0)
-        << bare_planner->name() << " never touched the topology caches";
-    if (which != 0) {  // greedy has no LP
-      EXPECT_GT(t.lp_misses, 0) << bare_planner->name();
-      EXPECT_GT(t.lp_hits, 0)
-          << bare_planner->name() << " never reused a cached LP";
-      EXPECT_GT(t.lp_patches, 0) << bare_planner->name();
+    EXPECT_GT(t.topo_misses, 0) << bare_planner->name();
+    EXPECT_GT(t.topo_hits, 0)
+        << bare_planner->name() << " never reused a topology cache";
+    if (which != 3) {  // the proof planner scores no hits
+      EXPECT_GT(t.hit_matrix_misses, 0) << bare_planner->name();
+      EXPECT_GT(t.hit_matrix_hits, 0)
+          << bare_planner->name() << " never reused a hit matrix";
     }
   }
 }
@@ -224,12 +223,14 @@ TEST(WorkspaceIdentityTest, PlanSweepIdenticalWithWorkspace) {
 
   const auto bare = PlanSweep(factory, inst.ctx, inst.samples, requests);
   PlanningWorkspace ws;
+  PlannerContext ws_ctx = inst.ctx;
+  ws_ctx.workspace = &ws;
   util::ThreadPool pool(4);
-  // Two sweeps through one workspace: the second hits the per-request
-  // cached LPs (lease key = request index), pooled on top.
+  // Two pooled sweeps through one workspace: concurrent requests share its
+  // path list and hit matrix, each computed once.
   for (int round = 0; round < 2; ++round) {
-    const auto cached = PlanSweep(factory, inst.ctx, inst.samples, requests,
-                                  &pool, &ws);
+    const auto cached =
+        PlanSweep(factory, ws_ctx, inst.samples, requests, &pool);
     for (size_t i = 0; i < requests.size(); ++i) {
       ASSERT_TRUE(bare[i].ok() && cached[i].ok());
       ExpectSamePlan(*bare[i], *cached[i],
@@ -237,58 +238,35 @@ TEST(WorkspaceIdentityTest, PlanSweepIdenticalWithWorkspace) {
                          std::to_string(round));
     }
   }
-  EXPECT_GT(ws.counters().lp_hits, 0);
-}
-
-TEST(WorkspaceTest, LeaseCollisionFallsBackToThrowawayEntry) {
-  PlanningWorkspace ws;
-  auto lease1 = ws.AcquireLp(LpKind::kNoFilter, 0);
-  ASSERT_TRUE(lease1);
-  lease1.get()->built = true;
-  lease1.get()->topo_epoch = 42;
-
-  // Same slot while leased out: a usable throwaway, not the cached entry.
-  auto lease2 = ws.AcquireLp(LpKind::kNoFilter, 0);
-  ASSERT_TRUE(lease2);
-  EXPECT_FALSE(lease2.get()->built);
-  lease2.get()->topo_epoch = 7;  // must not leak into the cache
-  lease2.Release();
-  lease1.Release();
-
-  auto lease3 = ws.AcquireLp(LpKind::kNoFilter, 0);
-  ASSERT_TRUE(lease3);
-  EXPECT_TRUE(lease3.get()->built);
-  EXPECT_EQ(lease3.get()->topo_epoch, 42u);
-
-  // Distinct kinds and keys are distinct slots.
-  auto other_kind = ws.AcquireLp(LpKind::kFilter, 0);
-  auto other_key = ws.AcquireLp(LpKind::kNoFilter, 1);
-  EXPECT_FALSE(other_kind.get()->built);
-  EXPECT_FALSE(other_key.get()->built);
-}
-
-TEST(WorkspaceTest, DropLpsEvictsEveryKindUnderOneKey) {
-  PlanningWorkspace ws;
-  for (LpKind kind : {LpKind::kNoFilter, LpKind::kFilter, LpKind::kProof}) {
-    for (int key : {7, 8}) ws.AcquireLp(kind, key).get()->built = true;
-  }
-  EXPECT_EQ(ws.num_lp_entries(), 6u);
-
-  ws.DropLps(7);
-  EXPECT_EQ(ws.num_lp_entries(), 3u);
-  EXPECT_FALSE(ws.AcquireLp(LpKind::kFilter, 7).get()->built);
-  EXPECT_TRUE(ws.AcquireLp(LpKind::kFilter, 8).get()->built);
+  const WorkspaceCounters t = ws.counters();
+  EXPECT_EQ(t.topo_misses, 1);
+  EXPECT_GT(t.topo_hits, 0);
+  EXPECT_EQ(t.hit_matrix_misses, 1);
+  EXPECT_GT(t.hit_matrix_hits, 0);
 }
 
 TEST(WorkspaceTest, ClearDropsCachesAndInFlightLeases) {
+  Instance inst = MakeInstance(20, 4, 5, 33);
   PlanningWorkspace ws;
-  {
-    auto lease = ws.AcquireLp(LpKind::kProof, 3);
-    lease.get()->built = true;
-    ws.Clear();  // the lease predates the Clear; its entry must be dropped
-  }
-  auto again = ws.AcquireLp(LpKind::kProof, 3);
-  EXPECT_FALSE(again.get()->built);
+  // Readers keep their snapshots across a Clear; the caches themselves
+  // are dropped, so the next lookups miss.
+  const auto paths = ws.Paths(inst.topology);
+  const auto hits = ws.Hits(inst.samples);
+  ws.Paths(inst.topology);
+  ws.Hits(inst.samples);
+  EXPECT_EQ(ws.counters().topo_hits, 1);
+  EXPECT_EQ(ws.counters().hit_matrix_hits, 1);
+
+  ws.Clear();
+  EXPECT_NE(ws.Paths(inst.topology), paths);
+  EXPECT_NE(ws.Hits(inst.samples), hits);
+  const WorkspaceCounters t = ws.counters();
+  EXPECT_EQ(t.topo_misses, 2);
+  EXPECT_EQ(t.topo_hits, 1);
+  EXPECT_EQ(t.hit_matrix_misses, 2);
+  EXPECT_EQ(t.hit_matrix_hits, 1);
+  EXPECT_EQ(*paths, ComputePathCache(inst.topology));
+  EXPECT_EQ(hits->column_sums(), inst.samples.column_sums());
 }
 
 TEST(WorkspaceTest, CountersAppearInMetricsSnapshot) {
@@ -311,11 +289,10 @@ TEST(WorkspaceTest, CountersAppearInMetricsSnapshot) {
     }
     return -1;
   };
-  EXPECT_GT(counter("workspace.topo.miss"), 0);
-  EXPECT_GT(counter("workspace.topo.hit"), 0);
-  EXPECT_EQ(counter("workspace.lp.miss"), 1);
-  EXPECT_EQ(counter("workspace.lp.hit"), 1);
-  EXPECT_GT(counter("workspace.lp.patch"), 0);
+  EXPECT_EQ(counter("workspace.topo.miss"), 1);
+  EXPECT_EQ(counter("workspace.topo.hit"), 1);
+  EXPECT_EQ(counter("workspace.hits.miss"), 1);
+  EXPECT_EQ(counter("workspace.hits.hit"), 1);
 }
 
 // A planner that records how often it actually runs — the probe for

@@ -1,5 +1,6 @@
 #include "src/lp/simplex.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -669,21 +670,24 @@ TEST_P(TwoVarVertexTest, MatchesVertexEnumeration) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TwoVarVertexTest, ::testing::Range(1, 40));
 
-// -------- Cached-model reuse: the planning workspace keeps an LP alive
-// across epochs, patches its objective weights and RHS in place, appends
-// new sample blocks at the end, and tombstones departed blocks by zeroing
-// their objective weights, then solves the patched model. These
-// properties are what make that reuse exact: the patched model reaches
-// the optimum of the program a from-scratch build would solve. --------
+// -------- Optimal value is a property of the program, not of how it is
+// written down: the column order of a model, and weightless columns whose
+// rows can always be satisfied at zero, do not move the optimum. --------
 
 // A random bounded maximization LP with a guaranteed feasible region. All
 // coefficients are positive on <= rows with positive RHS, like the
 // planners' programs, so a weightless variable can always drop to zero.
-Model RandomLp(Rng* rng, int nvars, int nrows) {
+// Variables listed in `weightless` get objective 0.
+Model RandomLp(Rng* rng, int nvars, int nrows,
+               const std::vector<int>& weightless = {}) {
   Model m;
   m.SetSense(Sense::kMaximize);
   for (int i = 0; i < nvars; ++i) {
-    m.AddVariable(0.0, rng->Uniform(1.0, 6.0), rng->Uniform(-1.0, 3.0));
+    const double upper = rng->Uniform(1.0, 6.0);
+    const double objective = rng->Uniform(-1.0, 3.0);
+    const bool zero = std::find(weightless.begin(), weightless.end(), i) !=
+                      weightless.end();
+    m.AddVariable(0.0, upper, zero ? 0.0 : objective);
   }
   for (int r = 0; r < nrows; ++r) {
     std::vector<Term> terms;
@@ -698,8 +702,22 @@ Model RandomLp(Rng* rng, int nvars, int nrows) {
   return m;
 }
 
-// `m` rebuilt from scratch over the variables `keep` lists, in that order
-// (dropped variables vanish from every row).
+// `m` with every objective coefficient shifted by U(-0.3, 0.3) and every
+// RHS by U(0, 0.5).
+Model Drifted(const Model& m, Rng* rng) {
+  Model out;
+  out.SetSense(m.sense());
+  for (const Variable& v : m.variables()) {
+    out.AddVariable(v.lower, v.upper, v.objective + rng->Uniform(-0.3, 0.3));
+  }
+  for (const Row& row : m.rows()) {
+    out.AddRow(row.type, row.rhs + rng->Uniform(0.0, 0.5), row.terms);
+  }
+  return out;
+}
+
+// `m` rebuilt over the variables `keep` lists, in that order (dropped
+// variables vanish from every row).
 Model Rebuild(const Model& m, const std::vector<int>& keep) {
   Model out;
   out.SetSense(m.sense());
@@ -718,57 +736,43 @@ Model Rebuild(const Model& m, const std::vector<int>& keep) {
   return out;
 }
 
-// "Warm" here means starting a replan from a cached model, not from a
-// simplex basis: every patched model is solved from scratch.
 class WarmStartPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(WarmStartPropertyTest, DriftedObjectiveAndRhsReachColdObjective) {
   Rng rng(7000 + GetParam());
-  Model m = RandomLp(&rng, 6 + GetParam() % 5, 4 + GetParam() % 4);
-  ASSERT_EQ(MustSolve(m).status, SolveStatus::kOptimal);
+  const Model base = RandomLp(&rng, 6 + GetParam() % 5, 4 + GetParam() % 4);
+  ASSERT_EQ(MustSolve(base).status, SolveStatus::kOptimal);
 
-  // Drift every objective coefficient and RHS in place — the incremental
-  // planners' steady-state patch — and compare with a from-scratch build
-  // whose columns come in reverse order, as a cached model's appended
-  // blocks need not follow a rebuild's order.
-  for (int i = 0; i < m.num_variables(); ++i) {
-    m.SetObjective(i, m.variable(i).objective + rng.Uniform(-0.3, 0.3));
-  }
-  for (int r = 0; r < m.num_rows(); ++r) {
-    m.SetRhs(r, m.row(r).rhs + rng.Uniform(0.0, 0.5));
-  }
+  // A drifted program solved in its own column order and in reverse order
+  // reaches the same optimal value.
+  const Model m = Drifted(base, &rng);
   std::vector<int> reversed(m.num_variables());
   for (int i = 0; i < m.num_variables(); ++i) {
     reversed[i] = m.num_variables() - 1 - i;
   }
-  const Solution patched = MustSolve(m);
-  const Solution cold = MustSolve(Rebuild(m, reversed));
-  ASSERT_EQ(patched.status, cold.status);
-  if (cold.status == SolveStatus::kOptimal) {
-    EXPECT_NEAR(patched.objective, cold.objective,
-                1e-6 * (1.0 + std::abs(cold.objective)));
-    EXPECT_TRUE(m.IsFeasible(patched.values, 1e-6));
+  const Solution forward = MustSolve(m);
+  const Solution backward = MustSolve(Rebuild(m, reversed));
+  ASSERT_EQ(forward.status, backward.status);
+  if (backward.status == SolveStatus::kOptimal) {
+    EXPECT_NEAR(forward.objective, backward.objective,
+                1e-6 * (1.0 + std::abs(backward.objective)));
+    EXPECT_TRUE(m.IsFeasible(forward.values, 1e-6));
   }
 }
 
 TEST_P(WarmStartPropertyTest, TombstonedVariablesReachColdObjective) {
   Rng rng(8000 + GetParam());
-  Model m = RandomLp(&rng, 8, 5);
-  ASSERT_EQ(MustSolve(m).status, SolveStatus::kOptimal);
-
-  // Retire two variables the way cached LPs tombstone dead sample blocks
-  // (objective weight zeroed, bounds and rows kept); the optimum must be
-  // the one of a rebuild without them.
-  m.SetObjective(1, 0.0);
-  m.SetObjective(4, 0.0);
-  const Solution tombstoned = MustSolve(m);
-  const Solution cold = MustSolve(Rebuild(m, {0, 2, 3, 5, 6, 7}));
-  ASSERT_EQ(tombstoned.status, cold.status);
-  if (cold.status == SolveStatus::kOptimal) {
-    EXPECT_NEAR(tombstoned.objective, cold.objective,
-                1e-6 * (1.0 + std::abs(cold.objective)));
-    EXPECT_TRUE(m.IsFeasible(tombstoned.values, 1e-6));
-  }
+  // Variables 1 and 4 carry no objective weight and appear only with
+  // positive coefficients on <= rows, so every optimum can hold them at
+  // zero: the program reaches the optimum of the one without them.
+  const Model m = RandomLp(&rng, 8, 5, /*weightless=*/{1, 4});
+  const Solution with = MustSolve(m);
+  const Solution without = MustSolve(Rebuild(m, {0, 2, 3, 5, 6, 7}));
+  ASSERT_EQ(with.status, SolveStatus::kOptimal);
+  ASSERT_EQ(with.status, without.status);
+  EXPECT_NEAR(with.objective, without.objective,
+              1e-6 * (1.0 + std::abs(without.objective)));
+  EXPECT_TRUE(m.IsFeasible(with.values, 1e-6));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WarmStartPropertyTest,

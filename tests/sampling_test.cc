@@ -123,41 +123,10 @@ TEST(SampleSetTest, VersionBumpsOnEveryAddAndStampsStayStable) {
   s.Add({8, 7, 6, 5});  // evicts the first row
   EXPECT_EQ(s.num_samples(), 3);
   EXPECT_EQ(s.sample_stamp(0), stamp_second);
-}
 
-TEST(SampleSetTest, DeltaSinceReportsPureAppendsAsValid) {
-  SampleSet s = SampleSet::ForTopK(4, 2, /*window=*/10);
-  s.Add({1, 2, 3, 4});
-  const uint64_t v = s.version();
-  s.Add({2, 3, 4, 5});
-  s.Add({3, 4, 5, 6});
-
-  const SampleSetDelta d = s.DeltaSince(v);
-  EXPECT_TRUE(d.valid);
-  EXPECT_EQ(d.added, 2);
-  EXPECT_EQ(d.evicted, 0);
-
-  // The current version is an empty — still valid — delta.
-  const SampleSetDelta none = s.DeltaSince(s.version());
-  EXPECT_TRUE(none.valid);
-  EXPECT_EQ(none.added, 0);
-}
-
-TEST(SampleSetTest, DeltaSinceInvalidAfterEvictionOrRemap) {
-  SampleSet s = SampleSet::ForTopK(3, 1, /*window=*/2);
-  s.Add({1, 2, 3});
-  const uint64_t v = s.version();
-  s.Add({2, 3, 1});
-  s.Add({3, 1, 2});  // evicts the row v stamped
-  const SampleSetDelta d = s.DeltaSince(v);
-  EXPECT_FALSE(d.valid);
-  EXPECT_EQ(d.evicted, 1);
-
-  // A remap rewrites every row: the new lineage rejects old versions.
-  SampleSet remapped = s.Remapped({0, 1, -1}, 2);
+  // A remap rewrites every row: the result is a new lineage.
+  SampleSet remapped = s.Remapped({0, 1, 2, -1}, 3);
   EXPECT_NE(remapped.id(), s.id());
-  EXPECT_FALSE(remapped.DeltaSince(v).valid);
-  EXPECT_FALSE(remapped.DeltaSince(s.version()).valid);
 }
 
 TEST(SampleSetTest, RemappedQuantileRecomputesContributorsAfterEviction) {
