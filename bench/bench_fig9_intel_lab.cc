@@ -40,7 +40,11 @@ void Run() {
   const int n = topo.num_nodes();
 
   sampling::SampleSet samples = sampling::SampleSet::ForTopK(n, kTop);
-  samples.AddTrace(lab.trace.Slice(0, kSampleEpochs));
+  const Status loaded = samples.AddTrace(lab.trace.Slice(0, kSampleEpochs));
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "samples: %s\n", loaded.ToString().c_str());
+    return;
+  }
 
   core::PlannerContext ctx;
   ctx.topology = &topo;

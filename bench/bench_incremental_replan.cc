@@ -4,15 +4,14 @@
 // one fresh reading and replans.
 //
 // Two modes per planner; both build and solve every epoch's LP from the
-// current window:
-//   * cold      — no workspace; path/ancestor/descendant lists and the
-//     packed hit matrix are recomputed every epoch.
-//   * workspace — those lists are reused per topology epoch and the hit
-//     matrix is synced by delta. The process aborts if any epoch's plan
-//     differs from the cold plan.
+// current window and score plans from it:
+//   * cold      — no workspace; path/ancestor/descendant lists are
+//     recomputed every epoch.
+//   * workspace — those lists are reused per topology epoch. The process
+//     aborts if any epoch's plan differs from the cold plan.
 //
 // workspace_speedup = cold steady ms / workspace steady ms, per planner:
-// what the topology and hit-matrix caches buy over recomputing them.
+// what the topology caches buy over recomputing them.
 //
 // Emits BENCH_incremental_replan.json in the current working directory.
 
@@ -217,13 +216,10 @@ void Run() {
   }
 
   bench::TableHeader(&json, "workspace counters",
-                     {"planner", "topo_hits", "topo_misses", "hit_matrix_hits",
-                      "hit_matrix_misses"});
+                     {"planner", "topo_hits", "topo_misses"});
   for (const CounterRow& r : counter_rows) {
     bench::TableRow(&json, {double(r.which), double(r.c.topo_hits),
-                            double(r.c.topo_misses),
-                            double(r.c.hit_matrix_hits),
-                            double(r.c.hit_matrix_misses)});
+                            double(r.c.topo_misses)});
   }
 
   json.Write();

@@ -50,7 +50,11 @@ int main() {
   // Bootstrap the sample window from the first epochs.
   sampling::SampleSet samples =
       sampling::SampleSet::ForTopK(topo.num_nodes(), kTop, /*window=*/40);
-  samples.AddTrace(lab.trace.Slice(0, kBootstrapEpochs));
+  const Status loaded = samples.AddTrace(lab.trace.Slice(0, kBootstrapEpochs));
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "%s\n", loaded.ToString().c_str());
+    return 1;
+  }
 
   core::LpNoFilterPlanner planner;  // lab top-k is predictable: LP-LF suffices
   core::PlanManager manager(&planner, core::PlanRequest{kTop, 4.5});

@@ -24,15 +24,11 @@ Result<QueryPlan> GreedyPlanner::Plan(const PlannerContext& ctx,
   util::ThreadPool* pool = EnsureThreadPool(&pool_, options_.threads);
 
   // Candidate order: descending column sum, then node id (deterministic).
-  // Scores come off the packed hit matrix (cached across queries when a
-  // workspace is attached) — the same integers SampleSet::column_sums()
-  // maintains, so the plan is identical.
-  const auto hits_ptr = GetHitMatrix(ctx.workspace, samples);
   std::vector<int> order;
   for (int i = 0; i < n; ++i) {
     if (i != root) order.push_back(i);
   }
-  const std::vector<int>& colsum = hits_ptr->column_sums();
+  const std::vector<int>& colsum = samples.column_sums();
   std::sort(order.begin(), order.end(), [&](int a, int b) {
     if (colsum[a] != colsum[b]) return colsum[a] > colsum[b];
     return a < b;

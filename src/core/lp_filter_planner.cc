@@ -130,13 +130,9 @@ Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
   QueryPlan plan = QueryPlan::Bandwidth(request.k, std::move(bw));
   plan.Normalize(topo);
 
-  // Repair and fill score every trial plan against the window; the packed
-  // hit matrix (cached across queries when a workspace is attached) makes
-  // each evaluation proportional to the contributing nodes instead of the
-  // network, with identical hit counts.
-  const auto hits_ptr = (options_.repair_budget || options_.fill_budget)
-                            ? GetHitMatrix(ctx.workspace, samples)
-                            : nullptr;
+  // Repair and fill score every trial plan against the window's packed
+  // contribution rows, so each evaluation is proportional to the
+  // contributing nodes instead of the network.
 
   // Budget repair: drop the bandwidth unit whose loss costs the fewest
   // sample hits per mJ reclaimed, until the plan fits. Candidate trials
@@ -145,7 +141,7 @@ Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
   // computes.
   if (options_.repair_budget) {
     net::NetworkSimulator cost_sim(&topo, ctx.energy, ctx.failures);
-    int hits = SampleHits(plan, topo, *hits_ptr, pool);
+    int hits = SampleHits(plan, topo, samples, pool);
     while (ExpectedCollectionCost(plan, cost_sim) > request.energy_budget_mj) {
       std::vector<int> candidates;
       for (int e = 0; e < n; ++e) {
@@ -164,7 +160,7 @@ Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
           QueryPlan trial = plan;
           --trial.bandwidth[candidates[c]];
           trial.Normalize(topo);
-          const int trial_hits = SampleHits(trial, topo, *hits_ptr);
+          const int trial_hits = SampleHits(trial, topo, samples);
           const double saved =
               plan_cost - ExpectedCollectionCost(trial, cost_sim);
           scores[c].score =
@@ -198,7 +194,7 @@ Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
   // improve.
   if (options_.fill_budget) {
     net::NetworkSimulator cost_sim(&topo, ctx.energy, ctx.failures);
-    const std::vector<int>& cs = hits_ptr->column_sums();
+    const std::vector<int>& cs = samples.column_sums();
     std::vector<int> order;
     for (int i = 0; i < n; ++i) {
       if (i != root && cs[i] > 0) order.push_back(i);
@@ -207,7 +203,7 @@ Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
       if (cs[a] != cs[bnode]) return cs[a] > cs[bnode];
       return a < bnode;
     });
-    int hits = SampleHits(plan, topo, *hits_ptr, pool);
+    int hits = SampleHits(plan, topo, samples, pool);
     bool progress = true;
     while (progress) {
       progress = false;
@@ -223,7 +219,7 @@ Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
             request.energy_budget_mj) {
           continue;
         }
-        const int trial_hits = SampleHits(trial, topo, *hits_ptr, pool);
+        const int trial_hits = SampleHits(trial, topo, samples, pool);
         if (trial_hits > hits) {
           plan = std::move(trial);
           hits = trial_hits;

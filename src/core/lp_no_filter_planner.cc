@@ -48,11 +48,8 @@ Result<QueryPlan> LpNoFilterPlanner::Plan(const PlannerContext& ctx,
   if (samples.num_nodes() != n) {
     return Status::InvalidArgument("sample set does not match topology size");
   }
-  // Objective weights and repair/fill ordering come off the packed hit
-  // matrix (cached across queries when a workspace is attached) — the same
-  // integers SampleSet::column_sums() maintains, so plans are identical.
-  const auto hits_ptr = GetHitMatrix(ctx.workspace, samples);
-  const std::vector<int>& colsum = hits_ptr->column_sums();
+  // Objective weights and repair/fill ordering: the window's column sums.
+  const std::vector<int>& colsum = samples.column_sums();
   util::ThreadPool* pool = EnsureThreadPool(&pool_, options_.threads);
 
   // Constraint-matrix ingredients: every node's root path, cached across

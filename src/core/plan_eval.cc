@@ -111,27 +111,16 @@ int SampleHitsForSample(const QueryPlan& plan, const net::Topology& topology,
   return hits;
 }
 
-int SampleHitsForSample(const QueryPlan& plan, const net::Topology& topology,
-                        const HitMatrix& hits, int j) {
-  const int words = hits.words_per_row();
-  if (plan.kind == PlanKind::kNodeSelection) {
-    const std::vector<uint64_t> mask = SelectionMask(
-        plan, topology.num_nodes(), topology.root(), words);
-    return PackedHitsForRow(plan, topology, hits.row(j), mask.data(), words);
-  }
-  return BandwidthRowHits(plan, topology, hits.row(j), words);
-}
-
 int SampleHits(const QueryPlan& plan, const net::Topology& topology,
-               const HitMatrix& hits, util::ThreadPool* pool) {
-  const int S = hits.num_samples();
-  const int words = hits.words_per_row();
+               const sampling::SampleSet& samples, util::ThreadPool* pool) {
+  const int S = samples.num_samples();
+  const int words = samples.words_per_row();
   std::vector<uint64_t> mask;
   if (plan.kind == PlanKind::kNodeSelection) {
     mask = SelectionMask(plan, topology.num_nodes(), topology.root(), words);
   }
   auto row_hits = [&](int j) {
-    return PackedHitsForRow(plan, topology, hits.row(j), mask.data(), words);
+    return PackedHitsForRow(plan, topology, samples.row(j), mask.data(), words);
   };
   if (pool != nullptr) {
     return pool->ParallelReduce<int>(S, 0, row_hits,
@@ -140,13 +129,6 @@ int SampleHits(const QueryPlan& plan, const net::Topology& topology,
   int total = 0;
   for (int j = 0; j < S; ++j) total += row_hits(j);
   return total;
-}
-
-int SampleHits(const QueryPlan& plan, const net::Topology& topology,
-               const sampling::SampleSet& samples, util::ThreadPool* pool) {
-  HitMatrix hits;
-  hits.Sync(samples);
-  return SampleHits(plan, topology, hits, pool);
 }
 
 AccuracyMetrics TopKAccuracy(const ExecutionResult& result,

@@ -2,7 +2,6 @@
 #define PROSPECTOR_CORE_PLAN_EVAL_H_
 
 #include "src/core/executor.h"
-#include "src/core/hit_matrix.h"
 #include "src/core/plan.h"
 #include "src/net/topology.h"
 #include "src/sampling/sample_set.h"
@@ -23,32 +22,21 @@ namespace core {
 /// This is the integral counterpart of the LP+LF objective, used for
 /// rounding repair and for tests.
 ///
-/// Samples are independent, so when `pool` is non-null the per-sample
-/// evaluations run on it; the total is accumulated in sample order either
-/// way, so the result is identical for any thread count (and for
-/// `pool == nullptr`).
-///
-/// This overload packs the window into a throwaway HitMatrix and scores
-/// through it; callers holding a synced matrix (e.g. via GetHitMatrix)
-/// should pass it directly to skip the repack.
+/// Scores come off the window's packed contribution rows
+/// (SampleSet::row): one popcount per row word for node-selection plans,
+/// and for bandwidth plans a recurrence touching only the ancestors of set
+/// bits. Samples are independent, so when `pool` is non-null the
+/// per-sample evaluations run on it; the total is accumulated in sample
+/// order either way, so the result is identical for any thread count (and
+/// for `pool == nullptr`).
 int SampleHits(const QueryPlan& plan, const net::Topology& topology,
                const sampling::SampleSet& samples,
                util::ThreadPool* pool = nullptr);
 
-/// SampleHits against a packed hit matrix (see HitMatrix): identical
-/// integers to the SampleSet overload, computed from the bit-packed rows —
-/// one popcount per row word for node-selection plans, and a sparse
-/// recurrence touching only the ancestors of set bits for bandwidth plans.
-int SampleHits(const QueryPlan& plan, const net::Topology& topology,
-               const HitMatrix& hits, util::ThreadPool* pool = nullptr);
-
-/// SampleHits for one sample only.
+/// SampleHits for one sample only, by the dense recurrence above over
+/// every node — the reference the packed scorer is tested against.
 int SampleHitsForSample(const QueryPlan& plan, const net::Topology& topology,
                         const sampling::SampleSet& samples, int j);
-
-/// SampleHitsForSample against a packed hit matrix.
-int SampleHitsForSample(const QueryPlan& plan, const net::Topology& topology,
-                        const HitMatrix& hits, int j);
 
 /// PathEdges(i) for every node, materialized once (entry root() is empty).
 /// The planners walk root paths over and over while building constraint

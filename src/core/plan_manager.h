@@ -11,9 +11,7 @@
 #include "src/core/plan.h"
 #include "src/core/plan_eval.h"
 #include "src/core/planner.h"
-#include "src/core/workspace.h"
 #include "src/net/simulator.h"
-#include "src/obs/obs.h"
 #include "src/util/thread_pool.h"
 
 namespace prospector {
@@ -38,10 +36,6 @@ struct PlanManagerOptions {
   double min_accuracy = 0.90;
   double base_explore_probability = 0.02;
   double boosted_explore_probability = 0.20;
-  /// Optional worker pool for the expected-hits evaluations that gate
-  /// re-dissemination (not owned). nullptr = the serial seed path;
-  /// decisions are identical either way.
-  util::ThreadPool* pool = nullptr;
 };
 
 class PlanManager {
@@ -57,55 +51,27 @@ class PlanManager {
   /// Recomputes the optimal plan against the current samples; installs it
   /// (charging dissemination to `sim`) if there is no plan yet or if it
   /// improves expected sample hits by more than the threshold. Returns
-  /// whether a dissemination happened.
+  /// whether a dissemination happened. Every call plans: callers replan
+  /// only after the window, the topology or the installed plan changed.
   Result<bool> MaybeReplan(const PlannerContext& ctx,
                            const sampling::SampleSet& samples,
                            net::NetworkSimulator* sim) {
-    // Steady-state short-circuit (workspace mode only): planners are
-    // deterministic, so unchanged inputs — same topology epoch, same
-    // sample window, same cost model — reproduce the previous candidate
-    // and therefore the previous decision. A repeat of either outcome is
-    // "no dissemination": an installed winner never beats itself by the
-    // improvement threshold.
-    if (ctx.workspace != nullptr && plan_.has_value() &&
-        last_decision_.Matches(*ctx.topology, samples) &&
-        last_decision_fingerprint_ ==
-            PlanningWorkspace::CostFingerprint(ctx)) {
-      PROSPECTOR_COUNTER_ADD("planner.replan_short_circuits", 1);
-      return false;
-    }
     auto candidate = planner_->Plan(ctx, samples, request_);
     if (!candidate.ok()) return candidate.status();
-    // Candidate and installed plans are scored through the packed hit
-    // matrix (the workspace's cached copy when one is attached) — the same
-    // integers the raw window yields, so decisions are unchanged.
-    const auto hits_matrix = GetHitMatrix(ctx.workspace, samples);
-    const int new_hits =
-        SampleHits(*candidate, *ctx.topology, *hits_matrix, options_.pool);
+    const int new_hits = SampleHits(*candidate, *ctx.topology, samples);
     if (plan_.has_value()) {
-      // The installed plan is fixed, so its score only moves when the
-      // window or topology does — memoized on exactly those versions.
-      if (!installed_hits_.Matches(*ctx.topology, samples)) {
-        installed_hits_.Store(
-            SampleHits(*plan_, *ctx.topology, *hits_matrix, options_.pool),
-            *ctx.topology, samples);
-        UpdatePredictedRecall(samples);
-      }
-      const int cur_hits = installed_hits_.hits;
-      if (new_hits <=
-          cur_hits * (1.0 + options_.improvement_threshold)) {
-        RememberDecisionInputs(ctx, samples);
+      const int cur_hits = SampleHits(*plan_, *ctx.topology, samples);
+      UpdatePredictedRecall(cur_hits, samples);
+      if (new_hits <= cur_hits * (1.0 + options_.improvement_threshold)) {
         return false;
       }
     }
     plan_ = std::move(candidate.value());
-    installed_hits_.Store(new_hits, *ctx.topology, samples);
-    UpdatePredictedRecall(samples);
+    UpdatePredictedRecall(new_hits, samples);
     ChargeInstallCost(*plan_, sim);
     planned_cost_mj_ =
         ExpectedTriggerCost(*plan_, *sim) + ExpectedCollectionCost(*plan_, *sim);
     ++disseminations_;
-    RememberDecisionInputs(ctx, samples);
     return true;
   }
 
@@ -114,8 +80,6 @@ class PlanManager {
   /// MaybeReplan then installs unconditionally.
   void InvalidatePlan() {
     plan_.reset();
-    installed_hits_.Invalidate();
-    last_decision_.Invalidate();
     predicted_recall_ = -1.0;
     planned_cost_mj_ = 0.0;
   }
@@ -152,32 +116,20 @@ class PlanManager {
   const PlanRequest& request() const { return request_; }
 
  private:
-  void UpdatePredictedRecall(const sampling::SampleSet& samples) {
+  void UpdatePredictedRecall(int installed_hits,
+                             const sampling::SampleSet& samples) {
     const double denom = static_cast<double>(request_.k) *
                          static_cast<double>(samples.num_samples());
     predicted_recall_ =
         denom > 0.0
-            ? std::min(1.0, static_cast<double>(installed_hits_.hits) / denom)
+            ? std::min(1.0, static_cast<double>(installed_hits) / denom)
             : -1.0;
-  }
-
-  void RememberDecisionInputs(const PlannerContext& ctx,
-                              const sampling::SampleSet& samples) {
-    if (ctx.workspace == nullptr) return;
-    last_decision_.Store(0, *ctx.topology, samples);
-    last_decision_fingerprint_ = PlanningWorkspace::CostFingerprint(ctx);
   }
 
   Planner* planner_;
   PlanRequest request_;
   PlanManagerOptions options_;
   std::optional<QueryPlan> plan_;
-  /// Memo of SampleHits(installed plan) against the current window.
-  SampleHitsCache installed_hits_;
-  /// (epoch, window, cost) triple of the last completed replan decision;
-  /// gates the workspace-mode short-circuit. `hits` is unused.
-  SampleHitsCache last_decision_;
-  uint64_t last_decision_fingerprint_ = 0;
   int disseminations_ = 0;
   double last_accuracy_ = 1.0;
   bool boosted_ = false;
@@ -197,10 +149,9 @@ using PlannerFactory = std::function<std::unique_ptr<Planner>()>;
 /// vector is indexed by request either way, so output is identical for
 /// any thread count.
 ///
-/// A workspace on `ctx` is shared by every request: its caches are
-/// immutable snapshots keyed by topology epoch and sample window, so
-/// concurrent requests read the same lists and plan exactly as they would
-/// without it.
+/// A workspace on `ctx` is shared by every request: its topology lists are
+/// immutable snapshots keyed by topology epoch, so concurrent requests
+/// read the same lists and plan exactly as they would without it.
 inline std::vector<Result<QueryPlan>> PlanSweep(
     const PlannerFactory& factory, const PlannerContext& ctx,
     const sampling::SampleSet& samples,

@@ -25,9 +25,9 @@ struct PlannerContext {
   net::EnergyModel energy;
   net::FailureModel failures;
 
-  /// Shared planning caches (see core/workspace.h), or nullptr for the
-  /// from-scratch seed behavior. Plans are bit-identical either way; the
-  /// workspace only changes how much work producing them takes. Concurrent
+  /// Shared per-epoch topology lists (see core/workspace.h), or nullptr
+  /// for the from-scratch seed behavior. Plans are bit-identical either
+  /// way; the workspace only saves recomputing the lists. Concurrent
   /// planners may share one.
   PlanningWorkspace* workspace = nullptr;
 

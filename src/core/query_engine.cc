@@ -224,8 +224,8 @@ Result<bool> QueryEngine::MaybeHeal(TickResult* result) {
   owned_topology_ =
       std::make_unique<net::Topology>(std::move(rebuilt->topology));
   topology_ = owned_topology_.get();
-  // The rebuilt tree is a new epoch and the remapped windows a new
-  // lineage — every cache would miss; Clear releases the memory now.
+  // The rebuilt tree is a new epoch, so every cached topology list would
+  // miss; Clear releases the memory now.
   workspace_.Clear();
   ctx_ = PlannerContext{topology_, ctx_.energy, failures, &workspace_};
   ++rebuilds_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 
 namespace prospector {
 namespace sampling {
@@ -73,15 +74,14 @@ SampleSet SampleSet::ForQuantile(int num_nodes, double quantile,
 void SampleSet::Add(std::vector<double> values) {
   Entry e;
   e.ones = contributor_(values);
-  e.mask.assign(num_nodes_, 0);
+  e.row.assign(words_per_row(), 0);
   for (int i : e.ones) {
-    e.mask[i] = 1;
+    e.row[i >> 6] |= uint64_t{1} << (i & 63);
     ++column_sums_[i];
     ++total_ones_;
   }
   e.values = std::move(values);
-  e.stamp = NextStamp();
-  version_ = e.stamp;
+  version_ = NextStamp();
   samples_.push_back(std::move(e));
   if (window_ > 0 && samples_.size() > window_) {
     for (int i : samples_.front().ones) {
@@ -92,8 +92,14 @@ void SampleSet::Add(std::vector<double> values) {
   }
 }
 
-void SampleSet::AddTrace(const data::Trace& trace) {
+Status SampleSet::AddTrace(const data::Trace& trace) {
+  if (trace.num_nodes() != num_nodes_) {
+    return Status::InvalidArgument(
+        "trace has " + std::to_string(trace.num_nodes()) +
+        " nodes; sample set has " + std::to_string(num_nodes_));
+  }
   for (int t = 0; t < trace.num_epochs(); ++t) Add(trace.epoch(t));
+  return Status::OK();
 }
 
 SampleSet SampleSet::Remapped(const std::vector<int>& new_id,

@@ -8,6 +8,7 @@
 
 #include "src/data/trace.h"
 #include "src/util/stats.h"
+#include "src/util/status.h"
 
 namespace prospector {
 namespace sampling {
@@ -24,6 +25,11 @@ using ContributorFn =
 /// The sample store at the heart of sampling-based query planning
 /// (Section 3): a sliding window of past network-wide readings plus their
 /// Boolean contribution rows and maintained column sums.
+///
+/// Each contribution row is packed once, when its sample is added, 64
+/// nodes per word: Contributes is a bit test, and plan scoring
+/// (core::SampleHits) reads the packed rows directly — a popcount per word
+/// for node-selection plans.
 ///
 /// The paper notes that planners without proofs only need the column sums;
 /// we additionally retain raw values because PROSPECTOR Proof needs the
@@ -48,8 +54,10 @@ class SampleSet {
   /// the window overflows.
   void Add(std::vector<double> values);
 
-  /// Bulk-loads every epoch of a trace (already imputed).
-  void AddTrace(const data::Trace& trace);
+  /// Bulk-loads every epoch of a trace (already imputed). A trace whose
+  /// width differs from num_nodes() is rejected with InvalidArgument and
+  /// leaves the window unchanged.
+  Status AddTrace(const data::Trace& trace);
 
   /// A new SampleSet (same contributor) holding only the most recent
   /// `count` samples — e.g. to bound the size of the proof LP, which grows
@@ -71,18 +79,12 @@ class SampleSet {
   /// Monotonic modification stamp: bumped by every Add (and therefore by
   /// AddTrace), and fresh for the sets Remapped/Recent return. Stamps are
   /// drawn from one process-wide counter, so a (id(), version()) pair
-  /// uniquely identifies the contents of a window — the cache key the
-  /// planning workspace uses.
+  /// uniquely identifies the contents of a window.
   uint64_t version() const { return version_; }
   /// Identity of this window's lineage: the stamp the set was created
   /// with. Remapped/Recent results are new lineages; versions from one
   /// lineage mean nothing to another.
   uint64_t id() const { return created_version_; }
-  /// The stamp the Add that created sample j assigned. Stable while the
-  /// sample stays in the window (indices shift on eviction; stamps do
-  /// not), which is what lets a cached HitMatrix reconcile its rows with
-  /// the current window after it slides.
-  uint64_t sample_stamp(int j) const { return samples_[j].stamp; }
 
   double value(int j, int i) const { return samples_[j].values[i]; }
   const std::vector<double>& sample_values(int j) const {
@@ -93,7 +95,14 @@ class SampleSet {
   /// contribution order (for top-k: descending value).
   const std::vector<int>& ones(int j) const { return samples_[j].ones; }
 
-  bool Contributes(int j, int i) const { return samples_[j].mask[i]; }
+  bool Contributes(int j, int i) const {
+    return (samples_[j].row[i >> 6] >> (i & 63)) & 1;
+  }
+
+  /// Packed contribution row of sample j: words_per_row() words, bit i set
+  /// iff node i contributed; bits past num_nodes() are zero.
+  const uint64_t* row(int j) const { return samples_[j].row.data(); }
+  int words_per_row() const { return (num_nodes_ + 63) / 64; }
 
   /// Column sums of Q: how often each node contributed across the window.
   const std::vector<int>& column_sums() const { return column_sums_; }
@@ -112,8 +121,7 @@ class SampleSet {
   struct Entry {
     std::vector<double> values;
     std::vector<int> ones;
-    std::vector<char> mask;
-    uint64_t stamp = 0;
+    std::vector<uint64_t> row;  ///< packed ones, see row()
   };
 
   int num_nodes_;

@@ -1,12 +1,15 @@
 // Determinism contract of the parallel planning engine: any thread count
 // must produce bit-identical plans, objectives, and evaluations to the
 // single-threaded seed path — parallelism buys wall time, never different
-// answers. Plus the regression test for the old root-index assumption in
-// SampleHits (node 0 silently skipped when the root is not node 0).
+// answers. Plus SampleHits' packed scoring against its dense reference,
+// and the regression test for the old root-index assumption in SampleHits
+// (node 0 silently skipped when the root is not node 0).
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/core/greedy_planner.h"
@@ -131,24 +134,68 @@ TEST(ParallelPlanningTest, PlanSweepMatchesSerialSweepInOrder) {
   }
 }
 
-TEST(ParallelPlanningTest, PlanManagerDecisionsUnchangedByPool) {
-  Instance inst = MakeInstance(40, 6, 10, 46);
-  net::NetworkSimulator sim_a(&inst.topology, inst.ctx.energy);
-  net::NetworkSimulator sim_b(&inst.topology, inst.ctx.energy);
-  util::ThreadPool pool(4);
+// ---- Packed scoring: SampleHits reads SampleSet::row ----
 
-  GreedyPlanner planner_a, planner_b;
-  PlanManagerOptions with_pool;
-  with_pool.pool = &pool;
-  PlanManager serial(&planner_a, PlanRequest{6, 8.0});
-  PlanManager parallel(&planner_b, PlanRequest{6, 8.0}, with_pool);
+// A random tree on n nodes rooted at `root`: each node hangs off one
+// placed earlier in a shuffled order.
+net::Topology RandomTree(int n, int root, Rng* rng) {
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::swap(order[0], order[root]);
+  for (int i = n - 1; i > 1; --i) {
+    std::swap(order[i], order[rng->UniformInt(1, i)]);
+  }
+  std::vector<int> parents(n, net::Topology::kNoParent);
+  for (int p = 1; p < n; ++p) {
+    parents[order[p]] = order[rng->UniformInt(0, p - 1)];
+  }
+  return net::Topology::FromParents(std::move(parents)).value();
+}
 
-  auto a = serial.MaybeReplan(inst.ctx, inst.samples, &sim_a);
-  auto b = parallel.MaybeReplan(inst.ctx, inst.samples, &sim_b);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(*a, *b);
-  ASSERT_TRUE(serial.has_plan() && parallel.has_plan());
-  ExpectSamePlan(serial.plan(), parallel.plan());
+TEST(SampleHitsTest, PackedRowsMatchDenseForBothPlanKinds) {
+  // A geometric network, and a 65-node random tree (rows straddle a word)
+  // rooted away from node 0. The window slides, so scored rows include
+  // ones appended after evictions.
+  Rng rng(0xabc);
+  net::GeometricNetworkOptions geo;
+  geo.num_nodes = 90;
+  geo.radio_range = 25.0;
+  std::vector<net::Topology> topologies;
+  topologies.push_back(net::BuildConnectedGeometricNetwork(geo, &rng).value());
+  topologies.push_back(RandomTree(65, 41, &rng));
+  util::ThreadPool pool(3);
+  for (const net::Topology& topo : topologies) {
+    const int n = topo.num_nodes();
+    const std::string where = "n=" + std::to_string(n);
+    sampling::SampleSet samples = sampling::SampleSet::ForTopK(n, 6, 50);
+    data::GaussianField field =
+        data::GaussianField::Random(n, 40, 60, 1, 16, &rng);
+    for (int s = 0; s < 70; ++s) samples.Add(field.Sample(&rng));
+
+    // Node-selection plan: a random half of the nodes.
+    std::vector<char> chosen(n, 0);
+    for (int i = 0; i < n; ++i) {
+      chosen[i] = static_cast<char>(rng.UniformInt(0, 1));
+    }
+    QueryPlan selection = QueryPlan::NodeSelection(6, std::move(chosen), topo);
+    selection.Normalize(topo);
+    // Bandwidth plan: random small per-edge budgets (including zeros, which
+    // prune whole subtrees in the packed recurrence).
+    std::vector<int> bw(n, 0);
+    for (int i = 0; i < n; ++i) bw[i] = static_cast<int>(rng.UniformInt(0, 3));
+    QueryPlan bandwidth = QueryPlan::Bandwidth(6, std::move(bw));
+    bandwidth.Normalize(topo);
+
+    for (const QueryPlan* plan : {&selection, &bandwidth}) {
+      int dense_total = 0;
+      for (int j = 0; j < samples.num_samples(); ++j) {
+        dense_total += SampleHitsForSample(*plan, topo, samples, j);
+      }
+      EXPECT_GT(dense_total, 0) << where;
+      EXPECT_EQ(SampleHits(*plan, topo, samples), dense_total) << where;
+      EXPECT_EQ(SampleHits(*plan, topo, samples, &pool), dense_total) << where;
+    }
+  }
 }
 
 // ---- Regression: the root must be skipped by id, not by assuming id 0 ----

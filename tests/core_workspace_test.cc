@@ -2,8 +2,8 @@
 // through any planner changes how much work planning costs, never what
 // plan comes out. Every planner is swept across sliding sample windows and
 // topology rebuilds with and without a workspace, and both must agree bit
-// for bit, serially and pooled. Plus the cache units: Clear, PlanManager's
-// steady-state short-circuit, and counter surfacing.
+// for bit, serially and pooled. Plus the cache units (Clear, counter
+// surfacing) and PlanManager planning on every MaybeReplan call.
 
 #include <gtest/gtest.h>
 
@@ -93,7 +93,7 @@ double LastLpObjective(Planner* planner, int which) {
 
 // The acceptance sweep: every planner, across a sliding window and a
 // topology rebuild, plans bit-identically with no workspace and with one
-// (cached topology lists and hit matrices).
+// (cached topology lists).
 void RunIdentitySweep(int threads) {
   for (int which = 0; which < 4; ++which) {
     Instance inst = MakeInstance(36, 6, 10, 90 + which, /*window=*/10);
@@ -123,8 +123,7 @@ void RunIdentitySweep(int threads) {
     };
 
     plan_all("cold");
-    // Slide the window: three appends (evicting three rows) per step, so
-    // the cached hit matrix tombstones old rows and appends fresh ones.
+    // Slide the window: three appends (evicting three rows) per step.
     for (int step = 0; step < 3; ++step) {
       for (int add = 0; add < 3; ++add) {
         inst.samples.Add(inst.field.Sample(&inst.rng));
@@ -154,11 +153,6 @@ void RunIdentitySweep(int threads) {
     EXPECT_GT(t.topo_misses, 0) << bare_planner->name();
     EXPECT_GT(t.topo_hits, 0)
         << bare_planner->name() << " never reused a topology cache";
-    if (which != 3) {  // the proof planner scores no hits
-      EXPECT_GT(t.hit_matrix_misses, 0) << bare_planner->name();
-      EXPECT_GT(t.hit_matrix_hits, 0)
-          << bare_planner->name() << " never reused a hit matrix";
-    }
   }
 }
 
@@ -227,7 +221,7 @@ TEST(WorkspaceIdentityTest, PlanSweepIdenticalWithWorkspace) {
   ws_ctx.workspace = &ws;
   util::ThreadPool pool(4);
   // Two pooled sweeps through one workspace: concurrent requests share its
-  // path list and hit matrix, each computed once.
+  // path list, computed once.
   for (int round = 0; round < 2; ++round) {
     const auto cached =
         PlanSweep(factory, ws_ctx, inst.samples, requests, &pool);
@@ -241,8 +235,6 @@ TEST(WorkspaceIdentityTest, PlanSweepIdenticalWithWorkspace) {
   const WorkspaceCounters t = ws.counters();
   EXPECT_EQ(t.topo_misses, 1);
   EXPECT_GT(t.topo_hits, 0);
-  EXPECT_EQ(t.hit_matrix_misses, 1);
-  EXPECT_GT(t.hit_matrix_hits, 0);
 }
 
 TEST(WorkspaceTest, ClearDropsCachesAndInFlightLeases) {
@@ -251,22 +243,15 @@ TEST(WorkspaceTest, ClearDropsCachesAndInFlightLeases) {
   // Readers keep their snapshots across a Clear; the caches themselves
   // are dropped, so the next lookups miss.
   const auto paths = ws.Paths(inst.topology);
-  const auto hits = ws.Hits(inst.samples);
   ws.Paths(inst.topology);
-  ws.Hits(inst.samples);
   EXPECT_EQ(ws.counters().topo_hits, 1);
-  EXPECT_EQ(ws.counters().hit_matrix_hits, 1);
 
   ws.Clear();
   EXPECT_NE(ws.Paths(inst.topology), paths);
-  EXPECT_NE(ws.Hits(inst.samples), hits);
   const WorkspaceCounters t = ws.counters();
   EXPECT_EQ(t.topo_misses, 2);
   EXPECT_EQ(t.topo_hits, 1);
-  EXPECT_EQ(t.hit_matrix_misses, 2);
-  EXPECT_EQ(t.hit_matrix_hits, 1);
   EXPECT_EQ(*paths, ComputePathCache(inst.topology));
-  EXPECT_EQ(hits->column_sums(), inst.samples.column_sums());
 }
 
 TEST(WorkspaceTest, CountersAppearInMetricsSnapshot) {
@@ -291,12 +276,9 @@ TEST(WorkspaceTest, CountersAppearInMetricsSnapshot) {
   };
   EXPECT_EQ(counter("workspace.topo.miss"), 1);
   EXPECT_EQ(counter("workspace.topo.hit"), 1);
-  EXPECT_EQ(counter("workspace.hits.miss"), 1);
-  EXPECT_EQ(counter("workspace.hits.hit"), 1);
 }
 
-// A planner that records how often it actually runs — the probe for
-// PlanManager's steady-state short-circuit.
+// A planner that records how often it actually runs.
 class CountingPlanner : public Planner {
  public:
   Result<QueryPlan> Plan(const PlannerContext& ctx,
@@ -311,51 +293,37 @@ class CountingPlanner : public Planner {
   int calls = 0;
 };
 
-TEST(PlanManagerWorkspaceTest, SteadyStateReplansAreShortCircuited) {
+TEST(PlanManagerWorkspaceTest, EveryReplanPlansWithOrWithoutWorkspace) {
   Instance inst = MakeInstance(30, 5, 10, 66);
   PlanningWorkspace ws;
-  PlannerContext ctx = inst.ctx;
-  ctx.workspace = &ws;
-  net::NetworkSimulator sim(&inst.topology, ctx.energy);
+  for (bool attach : {false, true}) {
+    PlannerContext ctx = inst.ctx;
+    ctx.workspace = attach ? &ws : nullptr;
+    net::NetworkSimulator sim(&inst.topology, ctx.energy);
+    CountingPlanner planner;
+    PlanManager manager(&planner, PlanRequest{5, 8.0});
+    const char* where = attach ? "workspace" : "no workspace";
 
-  CountingPlanner planner;
-  PlanManager manager(&planner, PlanRequest{5, 8.0});
+    auto first = manager.MaybeReplan(ctx, inst.samples, &sim);
+    ASSERT_TRUE(first.ok()) << where;
+    EXPECT_TRUE(*first) << where;
+    // An unchanged window replans and, planners being deterministic,
+    // rejects the identical candidate.
+    for (int i = 0; i < 3; ++i) {
+      auto again = manager.MaybeReplan(ctx, inst.samples, &sim);
+      ASSERT_TRUE(again.ok()) << where;
+      EXPECT_FALSE(*again) << where;
+    }
+    EXPECT_EQ(planner.calls, 4) << where;
+    EXPECT_EQ(manager.disseminations(), 1) << where;
 
-  auto first = manager.MaybeReplan(ctx, inst.samples, &sim);
-  ASSERT_TRUE(first.ok());
-  EXPECT_TRUE(*first);
-  EXPECT_EQ(planner.calls, 1);
-
-  // Nothing moved: the decision memo answers without planning.
-  for (int i = 0; i < 3; ++i) {
-    auto again = manager.MaybeReplan(ctx, inst.samples, &sim);
-    ASSERT_TRUE(again.ok());
-    EXPECT_FALSE(*again);
+    // After InvalidatePlan (a heal) the next call installs again.
+    manager.InvalidatePlan();
+    auto reinstalled = manager.MaybeReplan(ctx, inst.samples, &sim);
+    ASSERT_TRUE(reinstalled.ok()) << where;
+    EXPECT_TRUE(*reinstalled) << where;
+    EXPECT_EQ(planner.calls, 5) << where;
   }
-  EXPECT_EQ(planner.calls, 1);
-
-  // A new sample bumps the window version; the next call must re-plan.
-  inst.samples.Add(inst.field.Sample(&inst.rng));
-  ASSERT_TRUE(manager.MaybeReplan(ctx, inst.samples, &sim).ok());
-  EXPECT_EQ(planner.calls, 2);
-
-  // Invalidation (a heal) wipes the memo too.
-  manager.InvalidatePlan();
-  auto reinstalled = manager.MaybeReplan(ctx, inst.samples, &sim);
-  ASSERT_TRUE(reinstalled.ok());
-  EXPECT_TRUE(*reinstalled);
-  EXPECT_EQ(planner.calls, 3);
-}
-
-TEST(PlanManagerWorkspaceTest, NoWorkspaceMeansNoShortCircuit) {
-  Instance inst = MakeInstance(30, 5, 10, 67);
-  net::NetworkSimulator sim(&inst.topology, inst.ctx.energy);
-  CountingPlanner planner;
-  PlanManager manager(&planner, PlanRequest{5, 8.0});
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(manager.MaybeReplan(inst.ctx, inst.samples, &sim).ok());
-  }
-  EXPECT_EQ(planner.calls, 3);  // the seed behavior: every call plans
 }
 
 TEST(TopKAccuracyTest, EmptyTruthYieldsVacuousRecallNotDivByZero) {

@@ -108,7 +108,7 @@ TEST(IntegrationTest, Figure9ShapeLabDataTopologyMattersFilteringDoesNot) {
   const net::Topology& topo = lab.topology;
   sampling::SampleSet samples =
       sampling::SampleSet::ForTopK(topo.num_nodes(), 5);
-  samples.AddTrace(lab.trace.Slice(0, 40));
+  ASSERT_TRUE(samples.AddTrace(lab.trace.Slice(0, 40)).ok());
   PlannerContext ctx;
   ctx.topology = &topo;
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/net/simulator.h"
 #include "src/net/topology.h"
 #include "src/sampling/collector.h"
@@ -75,10 +79,171 @@ TEST(SampleSetTest, AddTraceLoadsEveryEpoch) {
   ASSERT_TRUE(t.AddEpoch({1, 2, 3}).ok());
   ASSERT_TRUE(t.AddEpoch({3, 2, 1}).ok());
   SampleSet s = SampleSet::ForTopK(3, 1);
-  s.AddTrace(t);
+  ASSERT_TRUE(s.AddTrace(t).ok());
   EXPECT_EQ(s.num_samples(), 2);
   EXPECT_EQ(s.ones(0), (std::vector<int>{2}));
   EXPECT_EQ(s.ones(1), (std::vector<int>{0}));
+}
+
+TEST(SampleSetTest, AddTraceRejectsMismatchedWidth) {
+  // A wider trace would set bits past the packed row; a narrower one would
+  // store rows that value() and IsSmaller read past the end of.
+  SampleSet s = SampleSet::ForTopK(3, 1);
+  s.Add({1, 2, 3});
+  const uint64_t version = s.version();
+  for (int width : {5, 2}) {
+    data::Trace t(width);
+    ASSERT_TRUE(t.AddEpoch(std::vector<double>(width, 7.0)).ok());
+    EXPECT_EQ(s.AddTrace(t).code(), StatusCode::kInvalidArgument)
+        << "width " << width;
+    EXPECT_EQ(s.num_samples(), 1);
+    EXPECT_EQ(s.version(), version);
+    EXPECT_EQ(s.column_sums(), (std::vector<int>{0, 0, 1}));
+    EXPECT_EQ(s.sample_values(0), (std::vector<double>{1, 2, 3}));
+  }
+}
+
+// Every packed row agrees with ones(j) and is zero past num_nodes(); the
+// maintained column sums and total agree with a recount of ones.
+void ExpectRowsMatchOnes(const SampleSet& s, const std::string& where) {
+  const int n = s.num_nodes();
+  ASSERT_EQ(s.words_per_row(), (n + 63) / 64) << where;
+  std::vector<int> sums(n, 0);
+  int total = 0;
+  for (int j = 0; j < s.num_samples(); ++j) {
+    std::vector<char> in_ones(n, 0);
+    for (int i : s.ones(j)) {
+      in_ones[i] = 1;
+      ++sums[i];
+      ++total;
+    }
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(s.Contributes(j, i), in_ones[i] != 0)
+          << where << " j=" << j << " i=" << i;
+    }
+    if (n % 64 != 0) {
+      EXPECT_EQ(s.row(j)[s.words_per_row() - 1] >> (n % 64), 0u)
+          << where << " j=" << j;
+    }
+  }
+  EXPECT_EQ(s.column_sums(), sums) << where;
+  EXPECT_EQ(s.total_ones(), total) << where;
+}
+
+TEST(SampleSetTest, PackedRowsMatchOnesAtWordBoundaries) {
+  for (int n : {13, 63, 64, 65, 130}) {
+    Rng rng(0x5eed + n);
+    // Top-k rows are sparse; selection rows set about half the bits.
+    for (bool top_k : {true, false}) {
+      SampleSet s = top_k ? SampleSet::ForTopK(n, 5, /*window=*/8)
+                          : SampleSet::ForSelection(n, 50.0, /*window=*/8);
+      const std::string tag =
+          "n=" + std::to_string(n) + (top_k ? " top-k" : " selection");
+      for (int step = 0; step < 20; ++step) {  // fills, then slides
+        std::vector<double> values(n);
+        for (double& v : values) v = rng.Uniform(0.0, 100.0);
+        s.Add(std::move(values));
+        ExpectRowsMatchOnes(s, tag + " step=" + std::to_string(step));
+      }
+      ExpectRowsMatchOnes(s.Recent(3), tag + " recent");
+      // Drop node 7 and shift the rest down: one word fewer at n = 65.
+      std::vector<int> new_id(n);
+      for (int i = 0; i < n; ++i) new_id[i] = i == 7 ? -1 : (i < 7 ? i : i - 1);
+      ExpectRowsMatchOnes(s.Remapped(new_id, n - 1), tag + " remapped");
+    }
+  }
+}
+
+std::vector<uint64_t> PackedRow(const SampleSet& s, int j) {
+  return std::vector<uint64_t>(s.row(j), s.row(j) + s.words_per_row());
+}
+
+std::vector<double> RandomReading(int n, Rng* rng) {
+  std::vector<double> values(n);
+  for (double& v : values) v = rng->Uniform(0.0, 100.0);
+  return values;
+}
+
+TEST(SampleSetTest, PackedRowsTravelWithTheirSampleAcrossLongSlides) {
+  // Rows span two words; the window fills, then slides 150 times. A slide
+  // evicts the front row and must leave every surviving row untouched.
+  const int n = 70;
+  const int window = 48;
+  Rng rng(0xbeef);
+  SampleSet s = SampleSet::ForTopK(n, 5, window);
+  for (int step = 0; step < 200; ++step) {
+    std::vector<std::vector<uint64_t>> before;
+    for (int j = 0; j < s.num_samples(); ++j) before.push_back(PackedRow(s, j));
+    s.Add(RandomReading(n, &rng));
+    const std::string where = "step=" + std::to_string(step);
+    ASSERT_EQ(s.num_samples(), std::min(step + 1, window)) << where;
+    const int shift = step >= window ? 1 : 0;
+    for (int j = 0; j + shift < static_cast<int>(before.size()); ++j) {
+      EXPECT_EQ(PackedRow(s, j), before[j + shift]) << where << " j=" << j;
+    }
+    ExpectRowsMatchOnes(s, where);
+  }
+}
+
+TEST(SampleSetTest, MaintainedSumsMatchARebuildAfterManyTurnovers) {
+  // A tiny window turned over 15 times: the sums kept up by Add and evict
+  // equal those of a set rebuilt from the surviving readings, row for row.
+  const int n = 30;
+  Rng rng(0xc0de);
+  SampleSet s = SampleSet::ForSelection(n, 50.0, /*window=*/8);
+  for (int step = 0; step < 120; ++step) {
+    s.Add(RandomReading(n, &rng));
+    const std::string where = "step=" + std::to_string(step);
+    ExpectRowsMatchOnes(s, where);
+    SampleSet rebuilt = SampleSet::ForSelection(n, 50.0);
+    for (int j = 0; j < s.num_samples(); ++j) rebuilt.Add(s.sample_values(j));
+    EXPECT_EQ(s.column_sums(), rebuilt.column_sums()) << where;
+    EXPECT_EQ(s.total_ones(), rebuilt.total_ones()) << where;
+    for (int j = 0; j < s.num_samples(); ++j) {
+      EXPECT_EQ(PackedRow(s, j), PackedRow(rebuilt, j)) << where << " j=" << j;
+    }
+  }
+}
+
+TEST(SampleSetTest, RecentAndRemappedRowsAreExactAndLeaveTheSourceAlone) {
+  const int n = 40;
+  Rng rng(0xfeed);
+  SampleSet s = SampleSet::ForTopK(n, 4);
+  for (int step = 0; step < 30; ++step) s.Add(RandomReading(n, &rng));
+  std::vector<std::vector<uint64_t>> source_rows;
+  for (int j = 0; j < s.num_samples(); ++j) source_rows.push_back(PackedRow(s, j));
+
+  // Recent copies the tail rows word for word.
+  SampleSet recent = s.Recent(10);
+  ExpectRowsMatchOnes(recent, "recent");
+  ASSERT_EQ(recent.num_samples(), 10);
+  for (int j = 0; j < 10; ++j) {
+    EXPECT_EQ(PackedRow(recent, j), source_rows[20 + j]) << "recent j=" << j;
+  }
+
+  // Reversing the ids moves each bit i to bit n-1-i (readings are distinct,
+  // so no top-k tie-break changes).
+  std::vector<int> reversed(n);
+  for (int i = 0; i < n; ++i) reversed[i] = n - 1 - i;
+  SampleSet mirrored = s.Remapped(reversed, n);
+  ExpectRowsMatchOnes(mirrored, "reversed");
+  for (int j = 0; j < s.num_samples(); ++j) {
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(mirrored.Contributes(j, n - 1 - i), s.Contributes(j, i))
+          << "reversed j=" << j << " i=" << i;
+    }
+  }
+
+  // Drop node 7 and shift the rest down.
+  std::vector<int> new_id(n);
+  for (int i = 0; i < n; ++i) new_id[i] = i == 7 ? -1 : (i < 7 ? i : i - 1);
+  ExpectRowsMatchOnes(s.Remapped(new_id, n - 1), "dropped");
+
+  // Deriving never touches the source's rows or sums.
+  ExpectRowsMatchOnes(s, "source");
+  for (int j = 0; j < s.num_samples(); ++j) {
+    EXPECT_EQ(PackedRow(s, j), source_rows[j]) << "source j=" << j;
+  }
 }
 
 TEST(SampleSetTest, RecentKeepsOnlyTheTail) {
@@ -115,18 +280,22 @@ TEST(SampleSetTest, VersionBumpsOnEveryAddAndStampsStayStable) {
   EXPECT_GT(v1, v0);
   s.Add({4, 3, 2, 1});
   EXPECT_GT(s.version(), v1);
-
-  // Stamps identify samples across window slides: indices shift, stamps
-  // follow their row.
-  const uint64_t stamp_second = s.sample_stamp(1);
   s.Add({5, 6, 7, 8});
-  s.Add({8, 7, 6, 5});  // evicts the first row
+  const uint64_t v3 = s.version();
+  s.Add({8, 7, 6, 5});  // a slide (evicts the first row) is a new version
   EXPECT_EQ(s.num_samples(), 3);
-  EXPECT_EQ(s.sample_stamp(0), stamp_second);
+  EXPECT_GT(s.version(), v3);
 
-  // A remap rewrites every row: the result is a new lineage.
+  // Deriving sets leaves the source's stamps alone; a remap rewrites every
+  // row, and a Recent copy is re-added, so each is a new lineage.
+  const uint64_t id = s.id();
+  const uint64_t version = s.version();
   SampleSet remapped = s.Remapped({0, 1, 2, -1}, 3);
-  EXPECT_NE(remapped.id(), s.id());
+  SampleSet recent = s.Recent(2);
+  EXPECT_EQ(s.id(), id);
+  EXPECT_EQ(s.version(), version);
+  EXPECT_NE(remapped.id(), id);
+  EXPECT_NE(recent.id(), id);
 }
 
 TEST(SampleSetTest, RemappedQuantileRecomputesContributorsAfterEviction) {
