@@ -1,17 +1,11 @@
-// Incremental replanning: per-epoch planning cost with and without a
-// shared core::PlanningWorkspace on the Figure-3 deployment (n=100,
-// k=10, geometric network). Each query epoch slides the sample window by
-// one fresh reading and replans.
+// Incremental replanning: per-epoch planning cost of each planner on the
+// Figure-3 deployment (n=100, k=10, geometric network). Each query epoch
+// slides the sample window by one fresh reading and replans: every LP is
+// built and solved from the current window, plans are scored from it, and
+// the per-node lists come with the tree.
 //
-// Two modes per planner; both build and solve every epoch's LP from the
-// current window and score plans from it:
-//   * cold      — no workspace; path/ancestor/descendant lists are
-//     recomputed every epoch.
-//   * workspace — those lists are reused per topology epoch. The process
-//     aborts if any epoch's plan differs from the cold plan.
-//
-// workspace_speedup = cold steady ms / workspace steady ms, per planner:
-// what the topology caches buy over recomputing them.
+// first_ms is epoch 0's plan time; steady_ms the median over the epochs
+// after it.
 //
 // Emits BENCH_incremental_replan.json in the current working directory.
 
@@ -27,7 +21,6 @@
 #include "src/core/lp_filter_planner.h"
 #include "src/core/lp_no_filter_planner.h"
 #include "src/core/proof_planner.h"
-#include "src/core/workspace.h"
 #include "src/data/gaussian_field.h"
 #include "src/net/topology.h"
 #include "src/util/rng.h"
@@ -59,30 +52,22 @@ std::unique_ptr<core::Planner> MakePlanner(int which) {
   }
 }
 
-bool SamePlan(const core::QueryPlan& a, const core::QueryPlan& b) {
-  return a.kind == b.kind && a.k == b.k && a.bandwidth == b.bandwidth &&
-         a.chosen == b.chosen;
-}
-
-/// The reading sequence every mode replays, so all modes plan against an
-/// identical sample history.
+/// The reading sequence a planner replays: the initial window, then the
+/// per-epoch adds.
 struct Stream {
   std::vector<std::vector<double>> initial;             // fills the window
   std::vector<std::vector<std::vector<double>>> epochs; // per-epoch adds
 };
 
-struct ModeResult {
-  std::vector<core::QueryPlan> plans;  // one per epoch
-  double first_ms = 0.0;   // epoch 0: fills the workspace's caches
+struct Timing {
+  double first_ms = 0.0;   // epoch 0
   double steady_ms = 0.0;  // median over the remaining epochs
-  core::WorkspaceCounters counters;
 };
 
-ModeResult RunMode(int which, const Stream& stream, const net::Topology& topo,
-                   double budget, core::PlanningWorkspace* workspace) {
+Timing RunPlanner(int which, const Stream& stream, const net::Topology& topo,
+                  double budget) {
   core::PlannerContext ctx;
   ctx.topology = &topo;
-  ctx.workspace = workspace;
 
   sampling::SampleSet samples =
       sampling::SampleSet::ForTopK(topo.num_nodes(), kTop, kWindow);
@@ -93,7 +78,7 @@ ModeResult RunMode(int which, const Stream& stream, const net::Topology& topo,
   req.energy_budget_mj = budget;
 
   std::unique_ptr<core::Planner> planner = MakePlanner(which);
-  ModeResult out;
+  Timing out;
   std::vector<double> steady;
   for (size_t e = 0; e < stream.epochs.size(); ++e) {
     for (const auto& r : stream.epochs[e]) samples.Add(r);
@@ -112,18 +97,14 @@ ModeResult RunMode(int which, const Stream& stream, const net::Topology& topo,
     } else {
       steady.push_back(ms);
     }
-    out.plans.push_back(std::move(*plan));
   }
-  // Median, not mean: a single-core box under sporadic scheduler steal
-  // produces multi-x outliers that would swamp the cold/workspace
-  // comparison.
+  // Median, not mean: sporadic scheduler steal produces multi-x outliers.
   if (steady.empty()) {
     out.steady_ms = out.first_ms;
   } else {
     std::sort(steady.begin(), steady.end());
     out.steady_ms = steady[steady.size() / 2];
   }
-  if (workspace != nullptr) out.counters = workspace->counters();
   return out;
 }
 
@@ -174,56 +155,18 @@ void Run() {
       .Meta("adds_per_epoch", kAddsPerEpoch)
       .Meta("epochs", epochs)
       .Meta("budget_mj", kBudgetMj)
-      .Meta("proof_budget_mj", proof_budget)
-      .Meta("bit_identical_checked", 1);
+      .Meta("proof_budget_mj", proof_budget);
 
-  bench::TableHeader(&json, "steady-state replan cost (ms per plan)",
-                     {"planner", "cold_first_ms", "cold_steady_ms",
-                      "workspace_steady_ms", "workspace_speedup"});
-
-  struct CounterRow {
-    int which;
-    core::WorkspaceCounters c;
-  };
-  std::vector<CounterRow> counter_rows;
-
+  bench::TableHeader(&json, "replan cost (ms per plan)",
+                     {"planner", "first_ms", "steady_ms"});
   for (int which = 0; which < 4; ++which) {
     const Deployment& dep = which == 3 ? proof_net : fig3;
-    const net::Topology& topo = dep.topology;
-    const Stream& stream = dep.stream;
     const double budget = which == 3 ? proof_budget : kBudgetMj;
-    const ModeResult cold = RunMode(which, stream, topo, budget, nullptr);
-    core::PlanningWorkspace ws;
-    const ModeResult cached = RunMode(which, stream, topo, budget, &ws);
-
-    // The workspace's contract: bit-identical plans, every epoch.
-    for (size_t e = 0; e < cold.plans.size(); ++e) {
-      if (!SamePlan(cold.plans[e], cached.plans[e])) {
-        std::fprintf(stderr,
-                     "FATAL: planner %d epoch %zu: workspace plan differs "
-                     "from cold plan\n",
-                     which, e);
-        std::abort();
-      }
-    }
-
-    const double speedup =
-        cached.steady_ms > 0.0 ? cold.steady_ms / cached.steady_ms : 0.0;
+    const Timing t = RunPlanner(which, dep.stream, dep.topology, budget);
     std::printf("  [%d] %s\n", which, MakePlanner(which)->name().c_str());
-    bench::TableRow(&json, {double(which), cold.first_ms, cold.steady_ms,
-                            cached.steady_ms, speedup});
-    counter_rows.push_back({which, cached.counters});
+    bench::TableRow(&json, {double(which), t.first_ms, t.steady_ms});
   }
-
-  bench::TableHeader(&json, "workspace counters",
-                     {"planner", "topo_hits", "topo_misses"});
-  for (const CounterRow& r : counter_rows) {
-    bench::TableRow(&json, {double(r.which), double(r.c.topo_hits),
-                            double(r.c.topo_misses)});
-  }
-
   json.Write();
-  std::printf("(workspace plans bit-identical to cold plans)\n");
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
-// Parallel planning engine scaling: wall-clock time of a 400-node /
-// 200-sample planning workload at 1/2/4/8 threads. The workload is one
-// LP+LF plan (on a 24-sample subset — its per-sample constraint matrix is
-// dense-tableau bound), an 8-point budget sweep of LP-LF plans against the
-// full 200 samples, and SampleHits evaluation of every plan over all 200
-// samples.
+// Plan-sweep scaling: wall-clock time of an 8-budget LP-LF sweep
+// (core::PlanSweep) on a 400-node / 200-sample deployment at 1/2/4/8
+// threads. PlanSweep is where planning fans out across a pool: each
+// request plans serially with its own planner, and requests run
+// concurrently.
 //
 // Two guarantees are exercised here, not just measured:
-//   * every thread count produces bit-identical plans and hit counts to
-//     the single-threaded run (the process aborts otherwise), and
+//   * every thread count produces bit-identical plans to the
+//     single-threaded sweep (the process aborts otherwise), and
 //   * the speedup column in BENCH_parallel_scaling.json records how much
 //     wall time the pool actually buys on this machine.
 //
@@ -21,9 +20,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/lp_filter_planner.h"
 #include "src/core/lp_no_filter_planner.h"
-#include "src/core/plan_eval.h"
 #include "src/core/plan_manager.h"
 #include "src/data/gaussian_field.h"
 #include "src/net/topology.h"
@@ -36,21 +33,11 @@ namespace {
 constexpr int kNodes = 400;
 constexpr int kTop = 20;
 constexpr int kSamples = 200;
-// LP+LF builds one constraint row per (sample, candidate) pair and solves a
-// dense tableau, so it runs on a subset; everything else uses all samples.
-constexpr int kFilterSamples = 24;
 constexpr int kRepeats = 3;  // best-of to damp scheduler noise
-
-struct WorkloadResult {
-  core::QueryPlan filter_plan;
-  std::vector<core::QueryPlan> sweep_plans;
-  std::vector<int> hits;
-};
 
 struct Instance {
   net::Topology topology;
   sampling::SampleSet samples;
-  sampling::SampleSet filter_samples;
   core::PlannerContext ctx;
 };
 
@@ -63,38 +50,18 @@ Instance MakeInstance() {
   geo.radio_range = 25.0;
   Instance inst{net::BuildConnectedGeometricNetwork(geo, &rng).value(),
                 sampling::SampleSet::ForTopK(kNodes, kTop),
-                sampling::SampleSet::ForTopK(kNodes, kTop),
                 core::PlannerContext{}};
   data::GaussianField field =
       data::GaussianField::Random(kNodes, 40.0, 60.0, 1.0, 16.0, &rng);
-  for (int s = 0; s < kSamples; ++s) {
-    const std::vector<double> reading = field.Sample(&rng);
-    inst.samples.Add(reading);
-    if (s < kFilterSamples) inst.filter_samples.Add(reading);
-  }
+  for (int s = 0; s < kSamples; ++s) inst.samples.Add(field.Sample(&rng));
   inst.ctx.topology = &inst.topology;
   return inst;
 }
 
-// The timed unit of work: one LP+LF solve, one 8-budget LP-LF sweep, and a
-// SampleHits evaluation of the filter plan — the planning-side hot path.
-WorkloadResult RunWorkload(const Instance& inst, util::ThreadPool* pool,
-                           int threads) {
-  WorkloadResult out;
-
-  core::LpPlannerOptions opts;
-  opts.threads = threads;
-  core::LpFilterPlanner filter(opts);
-  core::PlanRequest req;
-  req.k = kTop;
-  req.energy_budget_mj = 40.0;
-  auto plan = filter.Plan(inst.ctx, inst.filter_samples, req);
-  if (!plan.ok()) {
-    std::fprintf(stderr, "LP+LF failed: %s\n", plan.status().ToString().c_str());
-    std::abort();
-  }
-  out.filter_plan = *plan;
-
+// The timed unit of work: one 8-budget LP-LF sweep on `pool` (serial when
+// null).
+std::vector<core::QueryPlan> RunSweep(const Instance& inst,
+                                      util::ThreadPool* pool) {
   std::vector<core::PlanRequest> requests;
   for (double b : {8.0, 12.0, 16.0, 20.0, 24.0, 32.0, 40.0, 48.0}) {
     core::PlanRequest r;
@@ -102,24 +69,19 @@ WorkloadResult RunWorkload(const Instance& inst, util::ThreadPool* pool,
     r.energy_budget_mj = b;
     requests.push_back(r);
   }
-  core::PlannerFactory factory = [&opts] {
-    return std::make_unique<core::LpNoFilterPlanner>(opts);
+  core::PlannerFactory factory = [] {
+    return std::make_unique<core::LpNoFilterPlanner>();
   };
+  std::vector<core::QueryPlan> plans;
   for (auto& r :
        core::PlanSweep(factory, inst.ctx, inst.samples, requests, pool)) {
     if (!r.ok()) {
       std::fprintf(stderr, "sweep failed: %s\n", r.status().ToString().c_str());
       std::abort();
     }
-    out.sweep_plans.push_back(std::move(*r));
+    plans.push_back(std::move(*r));
   }
-
-  out.hits.push_back(
-      core::SampleHits(out.filter_plan, inst.topology, inst.samples, pool));
-  for (const core::QueryPlan& p : out.sweep_plans) {
-    out.hits.push_back(core::SampleHits(p, inst.topology, inst.samples, pool));
-  }
-  return out;
+  return plans;
 }
 
 bool SamePlan(const core::QueryPlan& a, const core::QueryPlan& b) {
@@ -127,17 +89,13 @@ bool SamePlan(const core::QueryPlan& a, const core::QueryPlan& b) {
          a.chosen == b.chosen;
 }
 
-void CheckIdentical(const WorkloadResult& base, const WorkloadResult& got,
-                    int threads) {
-  bool ok = SamePlan(base.filter_plan, got.filter_plan) &&
-            base.hits == got.hits &&
-            base.sweep_plans.size() == got.sweep_plans.size();
-  for (size_t i = 0; ok && i < base.sweep_plans.size(); ++i) {
-    ok = SamePlan(base.sweep_plans[i], got.sweep_plans[i]);
-  }
+void CheckIdentical(const std::vector<core::QueryPlan>& base,
+                    const std::vector<core::QueryPlan>& got, int threads) {
+  bool ok = base.size() == got.size();
+  for (size_t i = 0; ok && i < base.size(); ++i) ok = SamePlan(base[i], got[i]);
   if (!ok) {
     std::fprintf(stderr,
-                 "FATAL: %d-thread result differs from single-threaded\n",
+                 "FATAL: %d-thread sweep differs from single-threaded\n",
                  threads);
     std::abort();
   }
@@ -145,7 +103,7 @@ void CheckIdentical(const WorkloadResult& base, const WorkloadResult& got,
 
 void Run() {
   const Instance inst = MakeInstance();
-  std::printf("Parallel scaling: n=%d, k=%d, S=%d (hardware threads: %d)\n",
+  std::printf("Plan-sweep scaling: n=%d, k=%d, S=%d (hardware threads: %d)\n",
               kNodes, kTop, kSamples, util::ThreadPool::HardwareThreads());
   std::printf("%10s%14s%12s%12s\n", "threads", "best_ms", "speedup", "eff_pct");
 
@@ -155,16 +113,16 @@ void Run() {
     double speedup;
   };
   std::vector<Row> rows;
-  WorkloadResult baseline;
+  std::vector<core::QueryPlan> baseline;
 
   for (int threads : {1, 2, 4, 8}) {
     std::unique_ptr<util::ThreadPool> pool;
     if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
     double best_ms = 0.0;
-    WorkloadResult result;
+    std::vector<core::QueryPlan> result;
     for (int rep = 0; rep < kRepeats; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      result = RunWorkload(inst, pool.get(), threads);
+      result = RunSweep(inst, pool.get());
       const auto t1 = std::chrono::steady_clock::now();
       const double ms =
           std::chrono::duration<double, std::milli>(t1 - t0).count();

@@ -43,7 +43,7 @@ net::Topology BfsTree(const std::vector<net::Point>& pos, double range) {
     }
   }
   auto t = net::Topology::FromParents(std::move(parents)).value();
-  t.set_positions(pos);
+  if (!t.set_positions(pos).ok()) std::abort();  // one position per node
   return t;
 }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/core/plan_eval.h"
-#include "src/core/workspace.h"
 #include "src/obs/obs.h"
 
 namespace prospector {
@@ -21,7 +19,6 @@ Result<QueryPlan> GreedyPlanner::Plan(const PlannerContext& ctx,
   if (samples.num_nodes() != n) {
     return Status::InvalidArgument("sample set does not match topology size");
   }
-  util::ThreadPool* pool = EnsureThreadPool(&pool_, options_.threads);
 
   // Candidate order: descending column sum, then node id (deterministic).
   std::vector<int> order;
@@ -34,28 +31,20 @@ Result<QueryPlan> GreedyPlanner::Plan(const PlannerContext& ctx,
     return a < b;
   });
 
-  // Root paths per candidate, precomputed in parallel (each entry is
-  // independent) and cached across queries when a workspace is attached;
-  // the greedy scan itself stays sequential and accumulates costs in
-  // exactly the serial order, so plans are bit-identical for any thread
-  // count and with or without the cache.
-  const auto paths_ptr = GetPathCache(ctx.workspace, topo, pool);
-  const std::vector<std::vector<int>>& paths = *paths_ptr;
-
   std::vector<char> chosen(n, 0);
   std::vector<char> edge_used(n, 0);
   double cost = 0.0;
   for (int i : order) {
     if (colsum[i] == 0) break;  // remaining nodes never contributed
     double added = ctx.NodeAcquisitionCost();
-    for (int e : paths[i]) {
+    for (int e : topo.PathEdges(i)) {
       added += ctx.EdgePerValueCost(e);
       if (!edge_used[e]) added += ctx.EdgeFixedCost(e);
     }
     if (cost + added > request.energy_budget_mj) break;
     cost += added;
     chosen[i] = 1;
-    for (int e : paths[i]) edge_used[e] = 1;
+    for (int e : topo.PathEdges(i)) edge_used[e] = 1;
   }
 
   QueryPlan plan = QueryPlan::NodeSelection(request.k, std::move(chosen), topo);

@@ -1,20 +1,10 @@
 #ifndef PROSPECTOR_CORE_GREEDY_PLANNER_H_
 #define PROSPECTOR_CORE_GREEDY_PLANNER_H_
 
-#include <memory>
-
 #include "src/core/planner.h"
 
 namespace prospector {
 namespace core {
-
-struct GreedyPlannerOptions {
-  /// Worker threads for candidate preparation; 1 = the serial seed path.
-  /// Any value yields bit-identical plans (the greedy selection itself is
-  /// inherently sequential — parallelism only accelerates the per-node
-  /// path/cost precomputation).
-  int threads = 1;
-};
 
 /// PROSPECTOR Greedy (Section 3): repeatedly picks the not-yet-chosen node
 /// that contributed the most top-k values across the samples (the largest
@@ -27,17 +17,10 @@ struct GreedyPlannerOptions {
 /// path edges not already used by the plan.
 class GreedyPlanner : public Planner {
  public:
-  GreedyPlanner() = default;
-  explicit GreedyPlanner(GreedyPlannerOptions options) : options_(options) {}
-
   Result<QueryPlan> Plan(const PlannerContext& ctx,
                          const sampling::SampleSet& samples,
                          const PlanRequest& request) override;
   std::string name() const override { return "ProspectorGreedy"; }
-
- private:
-  GreedyPlannerOptions options_;
-  std::unique_ptr<util::ThreadPool> pool_;
 };
 
 }  // namespace core

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/core/plan_eval.h"
-#include "src/core/workspace.h"
 #include "src/lp/model.h"
 #include "src/obs/obs.h"
 
@@ -25,34 +24,13 @@ Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
     return Status::InvalidArgument("sample set does not match topology size");
   }
   const int S = samples.num_samples();
-  util::ThreadPool* pool = EnsureThreadPool(&pool_, options_.threads);
-
-  const auto paths_ptr = GetPathCache(ctx.workspace, topo, pool);
-  const std::vector<std::vector<int>>& paths = *paths_ptr;
 
   // Only edges that lie beneath some contributing node can ever deliver a
-  // hit; restrict the program to those. Samples are scanned independently
-  // and their edge masks OR-ed together in sample order.
+  // hit; restrict the program to those.
   std::vector<char> relevant(n, 0);
-  if (pool != nullptr) {
-    relevant = pool->ParallelReduce<std::vector<char>>(
-        S, std::vector<char>(n, 0),
-        [&](int j) {
-          std::vector<char> mask(n, 0);
-          for (int i : samples.ones(j)) {
-            for (int e : paths[i]) mask[e] = 1;
-          }
-          return mask;
-        },
-        [](std::vector<char> acc, std::vector<char> mask) {
-          for (size_t e = 0; e < acc.size(); ++e) acc[e] |= mask[e];
-          return acc;
-        });
-  } else {
-    for (int j = 0; j < S; ++j) {
-      for (int i : samples.ones(j)) {
-        for (int e : paths[i]) relevant[e] = 1;
-      }
+  for (int j = 0; j < S; ++j) {
+    for (int i : samples.ones(j)) {
+      for (int e : topo.PathEdges(i)) relevant[e] = 1;
     }
   }
 
@@ -78,7 +56,7 @@ Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
       if (i == root) continue;  // the root's value is free
       const int yv = model.AddBinaryRelaxed(1.0);
       node_vars[j].push_back({i, yv});
-      for (int e : paths[i]) {
+      for (int e : topo.PathEdges(i)) {
         // Line (7): returning i's value uses every edge above i.
         model.AddRow(lp::RowType::kLessEqual, 0.0, {{yv, 1.0}, {z[e], -1.0}});
         bandwidth_terms[e].push_back({yv, 1.0});
@@ -121,7 +99,7 @@ Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
     std::unordered_map<int, int> count;
     for (const auto& [i, yv] : sample_vars) {
       if (solved->values[yv] > options_.rounding_threshold) {
-        for (int e : paths[i]) ++count[e];
+        for (int e : topo.PathEdges(i)) ++count[e];
       }
     }
     for (const auto& [e, c] : count) bw[e] = std::max(bw[e], c);
@@ -135,13 +113,11 @@ Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
   // contributing nodes instead of the network.
 
   // Budget repair: drop the bandwidth unit whose loss costs the fewest
-  // sample hits per mJ reclaimed, until the plan fits. Candidate trials
-  // are independent, so each round scores them on the pool and then picks
-  // the winner in ascending edge order — the same argmin the serial loop
-  // computes.
+  // sample hits per mJ reclaimed (ties to the lowest edge id), until the
+  // plan fits.
   if (options_.repair_budget) {
     net::NetworkSimulator cost_sim(&topo, ctx.energy, ctx.failures);
-    int hits = SampleHits(plan, topo, samples, pool);
+    int hits = SampleHits(plan, topo, samples);
     while (ExpectedCollectionCost(plan, cost_sim) > request.energy_budget_mj) {
       std::vector<int> candidates;
       for (int e = 0; e < n; ++e) {
@@ -155,23 +131,15 @@ Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
       };
       const double plan_cost = ExpectedCollectionCost(plan, cost_sim);
       std::vector<TrialScore> scores(candidates.size());
-      auto score_range = [&](int begin, int end) {
-        for (int c = begin; c < end; ++c) {
-          QueryPlan trial = plan;
-          --trial.bandwidth[candidates[c]];
-          trial.Normalize(topo);
-          const int trial_hits = SampleHits(trial, topo, samples);
-          const double saved =
-              plan_cost - ExpectedCollectionCost(trial, cost_sim);
-          scores[c].score =
-              static_cast<double>(hits - trial_hits) / std::max(saved, 1e-12);
-          scores[c].hits = trial_hits;
-        }
-      };
-      if (pool != nullptr) {
-        pool->ParallelFor(static_cast<int>(candidates.size()), score_range);
-      } else {
-        score_range(0, static_cast<int>(candidates.size()));
+      for (size_t c = 0; c < candidates.size(); ++c) {
+        QueryPlan trial = plan;
+        --trial.bandwidth[candidates[c]];
+        trial.Normalize(topo);
+        const int trial_hits = SampleHits(trial, topo, samples);
+        const double saved = plan_cost - ExpectedCollectionCost(trial, cost_sim);
+        scores[c].score =
+            static_cast<double>(hits - trial_hits) / std::max(saved, 1e-12);
+        scores[c].hits = trial_hits;
       }
 
       int best = -1;
@@ -203,14 +171,14 @@ Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
       if (cs[a] != cs[bnode]) return cs[a] > cs[bnode];
       return a < bnode;
     });
-    int hits = SampleHits(plan, topo, samples, pool);
+    int hits = SampleHits(plan, topo, samples);
     bool progress = true;
     while (progress) {
       progress = false;
       ++last_stats_.fill_passes;
       for (int i : order) {
         QueryPlan trial = plan;
-        for (int e : paths[i]) {
+        for (int e : topo.PathEdges(i)) {
           trial.bandwidth[e] =
               std::min(trial.bandwidth[e] + 1,
                        std::min(request.k, topo.subtree_size(e)));
@@ -219,7 +187,7 @@ Result<QueryPlan> LpFilterPlanner::Plan(const PlannerContext& ctx,
             request.energy_budget_mj) {
           continue;
         }
-        const int trial_hits = SampleHits(trial, topo, samples, pool);
+        const int trial_hits = SampleHits(trial, topo, samples);
         if (trial_hits > hits) {
           plan = std::move(trial);
           hits = trial_hits;

@@ -1,8 +1,6 @@
 #ifndef PROSPECTOR_CORE_LP_FILTER_PLANNER_H_
 #define PROSPECTOR_CORE_LP_FILTER_PLANNER_H_
 
-#include <memory>
-
 #include "src/core/lp_no_filter_planner.h"
 #include "src/core/planner.h"
 
@@ -40,7 +38,6 @@ class LpFilterPlanner : public Planner {
 
  private:
   LpPlannerOptions options_;
-  std::unique_ptr<util::ThreadPool> pool_;
   double last_lp_objective_ = 0.0;
 };
 

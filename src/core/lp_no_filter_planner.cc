@@ -4,8 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/plan_eval.h"
-#include "src/core/workspace.h"
 #include "src/lp/model.h"
 #include "src/obs/obs.h"
 
@@ -15,16 +13,14 @@ namespace {
 
 // Expected cost of shipping the chosen nodes' values to the root: per-value
 // cost on every path edge plus per-message cost on every used edge.
-// `paths` is the topology's path cache (see ComputePathCache).
 double SelectionCost(const PlannerContext& ctx, const net::Topology& topo,
-                     const std::vector<std::vector<int>>& paths,
                      const std::vector<char>& chosen) {
   std::vector<char> used(topo.num_nodes(), 0);
   double cost = 0.0;
   for (int i = 0; i < topo.num_nodes(); ++i) {
     if (i == topo.root() || !chosen[i]) continue;
     cost += ctx.NodeAcquisitionCost();
-    for (int e : paths[i]) {
+    for (int e : topo.PathEdges(i)) {
       cost += ctx.EdgePerValueCost(e);
       if (!used[e]) {
         used[e] = 1;
@@ -50,26 +46,13 @@ Result<QueryPlan> LpNoFilterPlanner::Plan(const PlannerContext& ctx,
   }
   // Objective weights and repair/fill ordering: the window's column sums.
   const std::vector<int>& colsum = samples.column_sums();
-  util::ThreadPool* pool = EnsureThreadPool(&pool_, options_.threads);
 
-  // Constraint-matrix ingredients: every node's root path, cached across
-  // queries when a workspace is attached. Per-node path computations are
-  // independent, so they are produced on the pool; each node's cost sum is
-  // accumulated by one thread in path order, keeping the bits identical to
-  // the serial loop.
-  const auto paths_ptr = GetPathCache(ctx.workspace, topo, pool);
-  const std::vector<std::vector<int>>& paths = *paths_ptr;
-
+  // Per-value cost of shipping each node's value along its root path.
   std::vector<double> path_value_cost(n, 0.0);
-  auto accumulate_costs = [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      for (int e : paths[i]) path_value_cost[i] += ctx.EdgePerValueCost(e);
+  for (int i = 0; i < n; ++i) {
+    for (int e : topo.PathEdges(i)) {
+      path_value_cost[i] += ctx.EdgePerValueCost(e);
     }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(n, accumulate_costs);
-  } else {
-    accumulate_costs(0, n);
   }
 
   lp::Model model;
@@ -85,7 +68,7 @@ Result<QueryPlan> LpNoFilterPlanner::Plan(const PlannerContext& ctx,
   std::vector<lp::Term> cost_row;
   for (int i = 0; i < n; ++i) {
     if (i == root) continue;
-    for (int e : paths[i]) {
+    for (int e : topo.PathEdges(i)) {
       // Line (2): choosing x_i forces every edge above i into use.
       model.AddRow(lp::RowType::kLessEqual, 0.0, {{x[i], 1.0}, {z[e], -1.0}});
     }
@@ -116,7 +99,7 @@ Result<QueryPlan> LpNoFilterPlanner::Plan(const PlannerContext& ctx,
   // Repair: rounding can cost up to 2C; drop the cheapest-to-lose choices
   // (lowest column sum) until the plan fits the budget again.
   if (options_.repair_budget) {
-    while (SelectionCost(ctx, topo, paths, chosen) > request.energy_budget_mj) {
+    while (SelectionCost(ctx, topo, chosen) > request.energy_budget_mj) {
       int worst = -1;
       for (int i = 0; i < n; ++i) {
         if (i == root) continue;
@@ -139,22 +122,22 @@ Result<QueryPlan> LpNoFilterPlanner::Plan(const PlannerContext& ctx,
       if (colsum[a] != colsum[b]) return colsum[a] > colsum[b];
       return a < b;
     });
-    double cost = SelectionCost(ctx, topo, paths, chosen);
+    double cost = SelectionCost(ctx, topo, chosen);
     std::vector<char> used(n, 0);
     for (int i = 0; i < n; ++i) {
       if (i == root || !chosen[i]) continue;
-      for (int e : paths[i]) used[e] = 1;
+      for (int e : topo.PathEdges(i)) used[e] = 1;
     }
     for (int i : order) {
       double added = ctx.NodeAcquisitionCost();
-      for (int e : paths[i]) {
+      for (int e : topo.PathEdges(i)) {
         added += ctx.EdgePerValueCost(e);
         if (!used[e]) added += ctx.EdgeFixedCost(e);
       }
       if (cost + added > request.energy_budget_mj) continue;
       cost += added;
       chosen[i] = 1;
-      for (int e : paths[i]) used[e] = 1;
+      for (int e : topo.PathEdges(i)) used[e] = 1;
     }
     last_stats_.fill_passes = 1;  // single greedy pass by construction
     PROSPECTOR_COUNTER_ADD("planner.fill_passes", 1);

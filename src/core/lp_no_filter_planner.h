@@ -1,8 +1,6 @@
 #ifndef PROSPECTOR_CORE_LP_NO_FILTER_PLANNER_H_
 #define PROSPECTOR_CORE_LP_NO_FILTER_PLANNER_H_
 
-#include <memory>
-
 #include "src/core/planner.h"
 #include "src/lp/simplex.h"
 
@@ -25,11 +23,6 @@ struct LpPlannerOptions {
   /// program — its size grows as #samples x #nodes x tree height, so a
   /// large sample window must be subsampled (<= 0 disables the cap).
   int max_proof_samples = 8;
-  /// Worker threads for constraint construction and candidate scoring;
-  /// 1 = the serial seed path. Plans and objective values are
-  /// bit-identical for every thread count (reductions combine in index
-  /// order); only wall time changes.
-  int threads = 1;
 };
 
 /// PROSPECTOR LP-LF (Section 4.1): topology-aware linear program without
@@ -56,7 +49,6 @@ class LpNoFilterPlanner : public Planner {
 
  private:
   LpPlannerOptions options_;
-  std::unique_ptr<util::ThreadPool> pool_;
   double last_lp_objective_ = 0.0;
 };
 

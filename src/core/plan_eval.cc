@@ -112,22 +112,17 @@ int SampleHitsForSample(const QueryPlan& plan, const net::Topology& topology,
 }
 
 int SampleHits(const QueryPlan& plan, const net::Topology& topology,
-               const sampling::SampleSet& samples, util::ThreadPool* pool) {
-  const int S = samples.num_samples();
+               const sampling::SampleSet& samples) {
   const int words = samples.words_per_row();
   std::vector<uint64_t> mask;
   if (plan.kind == PlanKind::kNodeSelection) {
     mask = SelectionMask(plan, topology.num_nodes(), topology.root(), words);
   }
-  auto row_hits = [&](int j) {
-    return PackedHitsForRow(plan, topology, samples.row(j), mask.data(), words);
-  };
-  if (pool != nullptr) {
-    return pool->ParallelReduce<int>(S, 0, row_hits,
-                                     [](int acc, int v) { return acc + v; });
-  }
   int total = 0;
-  for (int j = 0; j < S; ++j) total += row_hits(j);
+  for (int j = 0; j < samples.num_samples(); ++j) {
+    total += PackedHitsForRow(plan, topology, samples.row(j), mask.data(),
+                              words);
+  }
   return total;
 }
 
@@ -157,21 +152,6 @@ AccuracyMetrics TopKAccuracy(const ExecutionResult& result,
     out.precision = static_cast<double>(hit) / static_cast<double>(out.answered);
   }
   return out;
-}
-
-std::vector<std::vector<int>> ComputePathCache(const net::Topology& topology,
-                                               util::ThreadPool* pool) {
-  const int n = topology.num_nodes();
-  std::vector<std::vector<int>> paths(n);
-  auto fill = [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) paths[i] = topology.PathEdges(i);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(n, fill);
-  } else {
-    fill(0, n);
-  }
-  return paths;
 }
 
 }  // namespace core

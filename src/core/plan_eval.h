@@ -5,7 +5,6 @@
 #include "src/core/plan.h"
 #include "src/net/topology.h"
 #include "src/sampling/sample_set.h"
-#include "src/util/thread_pool.h"
 
 namespace prospector {
 namespace core {
@@ -25,26 +24,14 @@ namespace core {
 /// Scores come off the window's packed contribution rows
 /// (SampleSet::row): one popcount per row word for node-selection plans,
 /// and for bandwidth plans a recurrence touching only the ancestors of set
-/// bits. Samples are independent, so when `pool` is non-null the
-/// per-sample evaluations run on it; the total is accumulated in sample
-/// order either way, so the result is identical for any thread count (and
-/// for `pool == nullptr`).
+/// bits.
 int SampleHits(const QueryPlan& plan, const net::Topology& topology,
-               const sampling::SampleSet& samples,
-               util::ThreadPool* pool = nullptr);
+               const sampling::SampleSet& samples);
 
 /// SampleHits for one sample only, by the dense recurrence above over
 /// every node — the reference the packed scorer is tested against.
 int SampleHitsForSample(const QueryPlan& plan, const net::Topology& topology,
                         const sampling::SampleSet& samples, int j);
-
-/// PathEdges(i) for every node, materialized once (entry root() is empty).
-/// The planners walk root paths over and over while building constraint
-/// rows and scoring candidates; caching removes the repeated allocation,
-/// and the per-node computations are independent, so they run on `pool`
-/// when one is supplied.
-std::vector<std::vector<int>> ComputePathCache(const net::Topology& topology,
-                                               util::ThreadPool* pool = nullptr);
 
 /// Answer quality of one (possibly partial) execution against the ground
 /// truth. Recall alone hides degradation when loss shrinks the answer;

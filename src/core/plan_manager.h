@@ -138,8 +138,8 @@ class PlanManager {
 };
 
 /// Creates a fresh planner per sweep point; planners keep per-Plan() state
-/// (LP objectives, lazily built pools), so instances must not be shared
-/// across concurrent requests.
+/// (LP objectives, last_stats()), so instances must not be shared across
+/// concurrent requests.
 using PlannerFactory = std::function<std::unique_ptr<Planner>()>;
 
 /// Solves many independent planning requests — a budget or k sweep, the
@@ -147,11 +147,8 @@ using PlannerFactory = std::function<std::unique_ptr<Planner>()>;
 /// base station. Each request plans with its own planner instance from
 /// `factory`; with a pool the requests run concurrently, and the result
 /// vector is indexed by request either way, so output is identical for
-/// any thread count.
-///
-/// A workspace on `ctx` is shared by every request: its topology lists are
-/// immutable snapshots keyed by topology epoch, so concurrent requests
-/// read the same lists and plan exactly as they would without it.
+/// any thread count. Each planner runs serially, and the tree's per-node
+/// lists it reads are immutable, so concurrent requests share `ctx`.
 inline std::vector<Result<QueryPlan>> PlanSweep(
     const PlannerFactory& factory, const PlannerContext& ctx,
     const sampling::SampleSet& samples,

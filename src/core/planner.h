@@ -1,7 +1,6 @@
 #ifndef PROSPECTOR_CORE_PLANNER_H_
 #define PROSPECTOR_CORE_PLANNER_H_
 
-#include <memory>
 #include <string>
 
 #include "src/core/plan.h"
@@ -11,25 +10,19 @@
 #include "src/net/topology.h"
 #include "src/sampling/sample_set.h"
 #include "src/util/status.h"
-#include "src/util/thread_pool.h"
 
 namespace prospector {
 namespace core {
 
-class PlanningWorkspace;
-
 /// Everything a planner may consult about the deployment. Edge costs are
-/// failure-inflated expectations (Section 4.4).
+/// failure-inflated expectations (Section 4.4). The per-node root paths,
+/// ancestor and descendant lists the planners walk come with the tree
+/// (net::Topology builds them once), so a plan is a function of topology,
+/// sample window, cost model and request alone.
 struct PlannerContext {
   const net::Topology* topology = nullptr;
   net::EnergyModel energy;
   net::FailureModel failures;
-
-  /// Shared per-epoch topology lists (see core/workspace.h), or nullptr
-  /// for the from-scratch seed behavior. Plans are bit-identical either
-  /// way; the workspace only saves recomputing the lists. Concurrent
-  /// planners may share one.
-  PlanningWorkspace* workspace = nullptr;
 
   /// Expected cost of a message with `num_values` readings on `child_edge`.
   double EdgeMessageCost(int child_edge, int num_values) const {
@@ -57,23 +50,9 @@ struct PlanRequest {
   double energy_budget_mj = 0.0;
 };
 
-/// Lazily materializes a planner's worker pool from its `threads` option.
-/// Returns nullptr when `threads <= 1`, which callers treat as "use the
-/// serial code path" — the seed (single-threaded) behavior. Results are
-/// bit-identical either way; only wall time changes.
-inline util::ThreadPool* EnsureThreadPool(
-    std::unique_ptr<util::ThreadPool>* slot, int threads) {
-  if (threads <= 1) return nullptr;
-  if (*slot == nullptr || (*slot)->num_threads() != threads) {
-    *slot = std::make_unique<util::ThreadPool>(threads);
-  }
-  return slot->get();
-}
-
 /// Work accounting of one Plan() call — the numbers the optimizer papers
 /// report (LP size, pivot counts, rounding-repair effort) and that used to
-/// be computed and silently dropped. Deterministic for a given input:
-/// identical across planner thread counts.
+/// be computed and silently dropped. Deterministic for a given input.
 struct PlannerStats {
   /// The (last) LP relaxation solve behind the plan; zeroes for planners
   /// that never touch the simplex (greedy, naive).

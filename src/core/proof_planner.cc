@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "src/core/workspace.h"
 #include "src/lp/model.h"
 #include "src/obs/obs.h"
 
@@ -18,20 +17,19 @@ namespace {
 // `b` (the LP variable of each edge, -1 at the root).
 void AppendProofBlock(lp::Model* model, const std::vector<int>& b,
                       const net::Topology& topo,
-                      const sampling::SampleSet& samples, int j,
-                      const PlanningWorkspace::IntLists& anc,
-                      const PlanningWorkspace::IntLists& desc) {
+                      const sampling::SampleSet& samples, int j) {
   const int n = topo.num_nodes();
 
   // p maps (i, ancestor-position m) -> LP variable.
   // Objective: top-k entries proven at the root.
   std::vector<std::vector<int>> p(n);
   for (int i = 0; i < n; ++i) {
-    p[i].resize(anc[i].size());
+    const std::vector<int>& anc = topo.AncestorsOf(i);
+    p[i].resize(anc.size());
     const bool counts =
         samples.Contributes(j, i);  // in ones(j): proven-at-root scores
-    for (size_t m = 0; m < anc[i].size(); ++m) {
-      const bool is_root_level = (m + 1 == anc[i].size());
+    for (size_t m = 0; m < anc.size(); ++m) {
+      const bool is_root_level = (m + 1 == anc.size());
       p[i][m] = model->AddBinaryRelaxed(counts && is_root_level ? 1.0 : 0.0);
     }
   }
@@ -40,8 +38,8 @@ void AppendProofBlock(lp::Model* model, const std::vector<int>& b,
   for (int v = 0; v < n; ++v) {
     if (v == topo.root()) continue;
     std::vector<lp::Term> row;
-    for (int i : desc[v]) {
-      // position of v in anc[i] = depth(i) - depth(v).
+    for (int i : topo.DescendantsOf(v)) {
+      // position of v in AncestorsOf(i) = depth(i) - depth(v).
       const int m = topo.depth(i) - topo.depth(v);
       row.push_back({p[i][m], 1.0});
     }
@@ -50,8 +48,9 @@ void AppendProofBlock(lp::Model* model, const std::vector<int>& b,
   }
 
   for (int i = 0; i < n; ++i) {
-    for (size_t m = 0; m < anc[i].size(); ++m) {
-      const int a = anc[i][m];
+    const std::vector<int>& anc = topo.AncestorsOf(i);
+    for (size_t m = 0; m < anc.size(); ++m) {
+      const int a = anc[m];
       // Line (13): proven at a requires proven at the previous node on
       // the path from i.
       if (m > 0) {
@@ -59,12 +58,12 @@ void AppendProofBlock(lp::Model* model, const std::vector<int>& b,
                       {{p[i][m], 1.0}, {p[i][m - 1], -1.0}});
       }
       // Line (14): every off-path child of a must prove a smaller value.
-      const int path_child = m > 0 ? anc[i][m - 1] : -1;
+      const int path_child = m > 0 ? anc[m - 1] : -1;
       for (int c : topo.children(a)) {
         if (c == path_child) continue;
         std::vector<lp::Term> row{{p[i][m], 1.0}};
         bool any_smaller = false;
-        for (int ip : desc[c]) {
+        for (int ip : topo.DescendantsOf(c)) {
           if (samples.IsSmaller(j, ip, i)) {
             any_smaller = true;
             const int mc = topo.depth(ip) - topo.depth(c);
@@ -129,13 +128,6 @@ Result<QueryPlan> ProofPlanner::Plan(const PlannerContext& ctx,
         " mJ (every edge must carry at least one value)");
   }
 
-  // Ancestor lists anc[i] = {i, parent(i), ..., root} and descendant
-  // lists, cached per topology epoch when a workspace is attached.
-  const auto anc_ptr = GetAncestors(ctx.workspace, topo);
-  const auto desc_ptr = GetDescendants(ctx.workspace, topo);
-  const PlanningWorkspace::IntLists& anc = *anc_ptr;
-  const PlanningWorkspace::IntLists& desc = *desc_ptr;
-
   // Budget decomposition used by the LP's budget row and the repair loop:
   // per-message costs and count-byte reserves are a constant floor; only
   // the per-value bandwidth mass is the LP's to spend.
@@ -161,7 +153,7 @@ Result<QueryPlan> ProofPlanner::Plan(const PlannerContext& ctx,
   }
 
   for (int w = 0; w < W; ++w) {
-    AppendProofBlock(&model, b, topo, all_samples, offset + w, anc, desc);
+    AppendProofBlock(&model, b, topo, all_samples, offset + w);
   }
 
   // Line (11): budget over the bandwidth-dependent part.

@@ -16,7 +16,7 @@ QueryEngine::QueryEngine(const net::Topology* topology,
                          QueryEngineOptions options, uint64_t seed)
     : topology_(topology),
       options_(options),
-      ctx_{topology, energy, failures, &workspace_},
+      ctx_{topology, energy, failures},
       sim_(topology, energy, failures, seed),
       rng_(seed ^ 0x5e551011),
       seed_(seed),
@@ -224,10 +224,7 @@ Result<bool> QueryEngine::MaybeHeal(TickResult* result) {
   owned_topology_ =
       std::make_unique<net::Topology>(std::move(rebuilt->topology));
   topology_ = owned_topology_.get();
-  // The rebuilt tree is a new epoch, so every cached topology list would
-  // miss; Clear releases the memory now.
-  workspace_.Clear();
-  ctx_ = PlannerContext{topology_, ctx_.energy, failures, &workspace_};
+  ctx_ = PlannerContext{topology_, ctx_.energy, failures};
   ++rebuilds_;
   sim_ = net::NetworkSimulator(
       topology_, ctx_.energy, failures,

@@ -10,7 +10,6 @@
 #include "src/core/plan_manager.h"
 #include "src/core/plan_merge.h"
 #include "src/core/query_registry.h"
-#include "src/core/workspace.h"
 #include "src/net/fault_injector.h"
 #include "src/net/rebuild.h"
 #include "src/net/simulator.h"
@@ -166,7 +165,6 @@ class QueryEngine {
   /// (sweeps, installs, audits, query epochs) and every rebuild — the
   /// ledger the chaos soak reconciles guard counters against.
   const net::TransmissionStats& radio_totals() const { return radio_totals_; }
-  const PlanningWorkspace& workspace() const { return workspace_; }
   /// The merged superplan of the most recent query epoch (empty before
   /// the first one).
   const Superplan& superplan() const { return superplan_; }
@@ -200,7 +198,6 @@ class QueryEngine {
 
   const net::Topology* topology_;
   QueryEngineOptions options_;
-  PlanningWorkspace workspace_;
   PlannerContext ctx_;
   net::NetworkSimulator sim_;
   sampling::SampleCollector collector_;

@@ -99,8 +99,6 @@ class TopKQuerySession {
   const QueryPlan& plan() const { return engine_.plan(qid_); }
   const sampling::SampleSet& samples() const { return engine_.samples(qid_); }
   const PlanManager& manager() const { return engine_.manager(qid_); }
-  /// The session's incremental-planning caches (hit/miss counters etc.).
-  const PlanningWorkspace& workspace() const { return engine_.workspace(); }
 
   /// The tree currently in use (the rebuilt one after self-healing).
   const net::Topology& topology() const { return engine_.topology(); }

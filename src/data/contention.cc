@@ -86,7 +86,7 @@ Result<ContentionScenario> BuildContentionScenario(
     if (parents.empty()) continue;  // disconnected; retry placement
     auto topo = net::Topology::FromParents(std::move(parents));
     if (!topo.ok()) return topo.status();
-    topo.value().set_positions(std::move(pos));
+    PROSPECTOR_RETURN_IF_ERROR(topo.value().set_positions(std::move(pos)));
 
     std::vector<double> means(n), stddevs(n);
     for (int i = 0; i < n; ++i) {

@@ -149,7 +149,7 @@ Result<DistributedMstResult> BuildDistributedMst(
   }
   auto topo = Topology::FromParents(std::move(parents));
   if (!topo.ok()) return topo.status();
-  topo.value().set_positions(positions);
+  PROSPECTOR_RETURN_IF_ERROR(topo.value().set_positions(positions));
   result.topology = std::move(topo.value());
   return result;
 }

@@ -67,7 +67,7 @@ Result<RebuiltTopology> RebuildWithoutNodes(const Topology& topology,
   }
   auto topo = Topology::FromParents(std::move(parents));
   if (!topo.ok()) return topo.status();
-  topo.value().set_positions(std::move(new_pos));
+  PROSPECTOR_RETURN_IF_ERROR(topo.value().set_positions(std::move(new_pos)));
   out.topology = std::move(topo.value());
   return out;
 }

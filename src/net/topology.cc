@@ -1,22 +1,11 @@
 #include "src/net/topology.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <numeric>
 
 namespace prospector {
 namespace net {
-namespace {
-
-// Epoch source for Topology::epoch(): one stamp per successful
-// FromParents, process-wide, starting at 1 (0 marks the placeholder).
-uint64_t NextEpoch() {
-  static std::atomic<uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-}  // namespace
 
 Result<Topology> Topology::FromParents(std::vector<int> parents) {
   const int n = static_cast<int>(parents.size());
@@ -41,7 +30,6 @@ Result<Topology> Topology::FromParents(std::vector<int> parents) {
   }
 
   Topology t;
-  t.epoch_ = NextEpoch();
   t.root_ = root;
   t.parents_ = std::move(parents);
   t.children_.assign(n, {});
@@ -77,23 +65,35 @@ Result<Topology> Topology::FromParents(std::vector<int> parents) {
   for (int u : t.post_order_) {
     if (u != root) t.subtree_size_[t.parents_[u]] += t.subtree_size_[u];
   }
+
+  t.ancestors_.resize(n);
+  t.path_edges_.resize(n);
+  t.descendants_.resize(n);
+  for (int u = 0; u < n; ++u) {
+    std::vector<int>& anc = t.ancestors_[u];
+    anc.reserve(t.depth_[u] + 1);
+    for (int a = u; a != kNoParent; a = t.parents_[a]) anc.push_back(a);
+    // Every ancestor but the root owns an edge of u's root path.
+    t.path_edges_[u].assign(anc.begin(), anc.end() - 1);
+    // desc(u): a breadth-first walk of u's subtree.
+    std::vector<int>& desc = t.descendants_[u];
+    desc.reserve(t.subtree_size_[u]);
+    desc.push_back(u);
+    for (size_t i = 0; i < desc.size(); ++i) {
+      for (int c : t.children_[desc[i]]) desc.push_back(c);
+    }
+  }
   return t;
 }
 
-std::vector<int> Topology::AncestorsOf(int node) const {
-  std::vector<int> anc;
-  for (int u = node; u != kNoParent; u = parents_[u]) anc.push_back(u);
-  return anc;
-}
-
-std::vector<int> Topology::DescendantsOf(int node) const {
-  std::vector<int> desc;
-  desc.reserve(subtree_size_[node]);
-  desc.push_back(node);
-  for (size_t i = 0; i < desc.size(); ++i) {
-    for (int c : children_[desc[i]]) desc.push_back(c);
+Status Topology::set_positions(std::vector<Point> p) {
+  if (static_cast<int>(p.size()) != num_nodes()) {
+    return Status::InvalidArgument(
+        "got " + std::to_string(p.size()) + " positions for " +
+        std::to_string(num_nodes()) + " nodes");
   }
-  return desc;
+  positions_ = std::move(p);
+  return Status::OK();
 }
 
 bool Topology::IsAncestorOf(int maybe_anc, int node) const {
@@ -102,12 +102,6 @@ bool Topology::IsAncestorOf(int maybe_anc, int node) const {
     if (depth_[u] <= depth_[maybe_anc]) return false;  // early out
   }
   return false;
-}
-
-std::vector<int> Topology::PathEdges(int node) const {
-  std::vector<int> edges;
-  for (int u = node; u != root_; u = parents_[u]) edges.push_back(u);
-  return edges;
 }
 
 Result<Topology> BuildGeometricNetwork(const GeometricNetworkOptions& options,
@@ -150,7 +144,8 @@ Result<Topology> BuildGeometricNetwork(const GeometricNetworkOptions& options,
         "/" + std::to_string(n) + " nodes reachable)");
   }
   auto topo = Topology::FromParents(std::move(parents));
-  if (topo.ok()) topo.value().set_positions(std::move(pos));
+  if (!topo.ok()) return topo;
+  PROSPECTOR_RETURN_IF_ERROR(topo.value().set_positions(std::move(pos)));
   return topo;
 }
 

@@ -1,7 +1,6 @@
 #ifndef PROSPECTOR_NET_TOPOLOGY_H_
 #define PROSPECTOR_NET_TOPOLOGY_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -48,14 +47,6 @@ class Topology {
   int num_nodes() const { return static_cast<int>(parents_.size()); }
   int root() const { return root_; }
 
-  /// Construction stamp, unique per FromParents call (copies share it —
-  /// they describe the same tree). A rebuild after node failures
-  /// (Section 4.4) therefore carries a new epoch, which is what
-  /// invalidates every epoch-keyed planning cache: path, ancestor and
-  /// descendant lists key on this value. The default-constructed
-  /// placeholder has epoch 0, which no built topology ever uses.
-  uint64_t epoch() const { return epoch_; }
-
   int parent(int node) const { return parents_[node]; }
   const std::vector<int>& children(int node) const { return children_[node]; }
   /// Hop distance from the root (root: 0).
@@ -65,15 +56,27 @@ class Topology {
   int height() const { return height_; }
   bool is_leaf(int node) const { return children_[node].empty(); }
 
+  // The per-node lists below are built once by FromParents (O(n * height)
+  // ints in all); the planners walk them on every Plan(), and their order
+  // fixes the LP term order.
+
   /// anc(i) of the paper: i itself plus all its proper ancestors (root last).
-  std::vector<int> AncestorsOf(int node) const;
-  /// desc(i) of the paper: i itself plus all its descendants (preorder).
-  std::vector<int> DescendantsOf(int node) const;
+  const std::vector<int>& AncestorsOf(int node) const {
+    return ancestors_[node];
+  }
+  /// desc(i) of the paper: i itself plus all its descendants, in
+  /// breadth-first order from i (children in children() order).
+  const std::vector<int>& DescendantsOf(int node) const {
+    return descendants_[node];
+  }
   /// True iff `maybe_anc` is `node` itself or a proper ancestor of it.
   bool IsAncestorOf(int maybe_anc, int node) const;
   /// Edge ids (child node ids) on the path from `node` to the root:
-  /// {node, parent(node), ...}, excluding the root itself.
-  std::vector<int> PathEdges(int node) const;
+  /// {node, parent(node), ...}, excluding the root itself (empty for the
+  /// root).
+  const std::vector<int>& PathEdges(int node) const {
+    return path_edges_[node];
+  }
 
   /// All nodes in post-order (children before parents) — the order in which
   /// a collection phase propagates values upward.
@@ -84,7 +87,10 @@ class Topology {
   /// Physical placement, if the topology was built geometrically
   /// (empty otherwise).
   const std::vector<Point>& positions() const { return positions_; }
-  void set_positions(std::vector<Point> p) { positions_ = std::move(p); }
+  /// Attaches one position per node. Fails with InvalidArgument, leaving
+  /// the positions unchanged, unless `p` has exactly num_nodes() entries:
+  /// rebuilds and clustering read positions()[i] for every node.
+  Status set_positions(std::vector<Point> p);
 
   /// An empty placeholder (0 nodes); assign a FromParents/builder result
   /// before use.
@@ -97,10 +103,12 @@ class Topology {
   std::vector<int> subtree_size_;
   std::vector<int> post_order_;
   std::vector<int> pre_order_;
+  std::vector<std::vector<int>> ancestors_;
+  std::vector<std::vector<int>> descendants_;
+  std::vector<std::vector<int>> path_edges_;
   std::vector<Point> positions_;
   int root_ = 0;
   int height_ = 0;
-  uint64_t epoch_ = 0;
 };
 
 /// Parameters for random geometric network construction (Section 5: nodes

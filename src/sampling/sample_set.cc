@@ -1,30 +1,16 @@
 #include "src/sampling/sample_set.h"
 
 #include <algorithm>
-#include <atomic>
 #include <string>
 
 namespace prospector {
 namespace sampling {
-namespace {
-
-// One process-wide stamp source: every SampleSet creation and every Add
-// draws a fresh value, so (id, version) pairs are unique across all sets
-// and a version can never alias two different window contents.
-uint64_t NextStamp() {
-  static std::atomic<uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-}  // namespace
 
 SampleSet::SampleSet(int num_nodes, ContributorFn contributor, size_t window)
     : num_nodes_(num_nodes),
       contributor_(std::move(contributor)),
       window_(window),
-      column_sums_(num_nodes, 0),
-      created_version_(NextStamp()),
-      version_(created_version_) {}
+      column_sums_(num_nodes, 0) {}
 
 SampleSet SampleSet::ForTopK(int num_nodes, int k, size_t window) {
   return SampleSet(
@@ -81,7 +67,6 @@ void SampleSet::Add(std::vector<double> values) {
     ++total_ones_;
   }
   e.values = std::move(values);
-  version_ = NextStamp();
   samples_.push_back(std::move(e));
   if (window_ > 0 && samples_.size() > window_) {
     for (int i : samples_.front().ones) {

@@ -76,16 +76,6 @@ class SampleSet {
   int num_nodes() const { return num_nodes_; }
   int num_samples() const { return static_cast<int>(samples_.size()); }
 
-  /// Monotonic modification stamp: bumped by every Add (and therefore by
-  /// AddTrace), and fresh for the sets Remapped/Recent return. Stamps are
-  /// drawn from one process-wide counter, so a (id(), version()) pair
-  /// uniquely identifies the contents of a window.
-  uint64_t version() const { return version_; }
-  /// Identity of this window's lineage: the stamp the set was created
-  /// with. Remapped/Recent results are new lineages; versions from one
-  /// lineage mean nothing to another.
-  uint64_t id() const { return created_version_; }
-
   double value(int j, int i) const { return samples_[j].values[i]; }
   const std::vector<double>& sample_values(int j) const {
     return samples_[j].values;
@@ -130,8 +120,6 @@ class SampleSet {
   std::deque<Entry> samples_;
   std::vector<int> column_sums_;
   int total_ones_ = 0;
-  uint64_t created_version_ = 0;
-  uint64_t version_ = 0;
 };
 
 }  // namespace sampling

@@ -17,7 +17,7 @@ namespace service {
 enum class AdmitReject {
   kNone = 0,
   kUnknownDeployment,  ///< deployment_id names no registered deployment
-  kInvalidSpec,        ///< k <= 0 or non-positive energy budget
+  kInvalidSpec,        ///< k <= 0, or energy budget not finite and > 0
   kTenantQueryQuota,   ///< tenant at max standing queries
   kTenantEnergyQuota,  ///< admitted budgets would exceed the tenant cap
   kQueueFull,          ///< admission backpressure: pending queue at cap

@@ -1,6 +1,7 @@
 #include "src/service/fleet.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "src/obs/obs.h"
@@ -107,9 +108,12 @@ AdmitQueryResponse FleetService::Admit(const AdmitQueryRequest& request) {
     CountReject(request.tenant_id, resp.reject);
     return resp;
   }
-  if (request.spec.k <= 0 || request.spec.energy_budget_mj <= 0.0) {
+  // A NaN budget passes `<= 0.0`; a NaN or infinite one would disarm the
+  // tenant's energy cap and make every LP the deployment solves invalid.
+  const double budget = request.spec.energy_budget_mj;
+  if (request.spec.k <= 0 || !(std::isfinite(budget) && budget > 0.0)) {
     resp.reject = AdmitReject::kInvalidSpec;
-    resp.message = "spec needs k >= 1 and a positive energy budget";
+    resp.message = "spec needs k >= 1 and a finite positive energy budget";
     CountReject(request.tenant_id, resp.reject);
     return resp;
   }

@@ -11,13 +11,15 @@
 namespace prospector {
 namespace util {
 
-/// A fixed-size worker pool for data-parallel loops over index ranges.
+/// A fixed-size worker pool for data-parallel loops over index ranges. It
+/// serves the coarse, independent work units: the fleet service's
+/// per-deployment epoch batch and PlanSweep's per-request plans. Planners
+/// themselves run serially.
 ///
 /// Design goals, in order:
-///   1. *Determinism.* ParallelReduce combines per-index results in index
-///      order, so the outcome is bit-identical to the sequential loop for
-///      any thread count — including non-associative combiners such as
-///      floating-point addition. Parallelism changes wall time, never
+///   1. *Determinism.* The split of [0, n) depends only on n and the pool
+///      size, and callers write per-index slots, so results are identical
+///      for any thread count. Parallelism changes wall time, never
 ///      results.
 ///   2. *Graceful degradation.* A pool built with `num_threads <= 1` spawns
 ///      no workers and runs every loop inline, exactly preserving the
@@ -25,8 +27,7 @@ namespace util {
 ///      parallelism) also run inline, so composing parallel stages cannot
 ///      deadlock the pool.
 ///   3. *Reuse.* Workers are spawned once and parked on a condition
-///      variable between loops; dispatch costs one lock + notify, so the
-///      pool is cheap enough to use for per-plan scoring loops.
+///      variable between loops; dispatch costs one lock + notify.
 class ThreadPool {
  public:
   /// `num_threads <= 1` creates an inline (no worker) pool; `num_threads
@@ -54,30 +55,6 @@ class ThreadPool {
   /// body must only write to per-index slots (no unsynchronized shared
   /// state).
   void ParallelFor(int n, const std::function<void(int, int)>& body);
-
-  /// Deterministic map/reduce: conceptually
-  ///   acc = init; for (i = 0; i < n; ++i) acc = combine(acc, map(i));
-  /// `map(i)` runs in parallel; `combine` runs sequentially on the calling
-  /// thread in ascending index order, making the result bit-identical to
-  /// the sequential loop regardless of thread count.
-  template <typename T, typename MapFn, typename CombineFn>
-  T ParallelReduce(int n, T init, const MapFn& map, const CombineFn& combine) {
-    if (n <= 0) return init;
-    if (!ShouldParallelize(n)) {
-      T acc = std::move(init);
-      for (int i = 0; i < n; ++i) acc = combine(std::move(acc), map(i));
-      return acc;
-    }
-    std::vector<T> partial(static_cast<size_t>(n));
-    ParallelFor(n, [&](int begin, int end) {
-      for (int i = begin; i < end; ++i) partial[static_cast<size_t>(i)] = map(i);
-    });
-    T acc = std::move(init);
-    for (int i = 0; i < n; ++i) {
-      acc = combine(std::move(acc), std::move(partial[static_cast<size_t>(i)]));
-    }
-    return acc;
-  }
 
  private:
   struct Task {

@@ -57,8 +57,10 @@ TEST(RootPlacementTest, ClustersMatchAcrossRootRelabelling) {
   auto root_first =
       net::Topology::FromParents({net::Topology::kNoParent, 0, 1});
   ASSERT_TRUE(root_last.ok() && root_first.ok());
-  root_last->set_positions({{10.0, 0.0}, {5.0, 0.0}, {0.0, 0.0}});
-  root_first->set_positions({{0.0, 0.0}, {5.0, 0.0}, {10.0, 0.0}});
+  ASSERT_TRUE(
+      root_last->set_positions({{10.0, 0.0}, {5.0, 0.0}, {0.0, 0.0}}).ok());
+  ASSERT_TRUE(
+      root_first->set_positions({{0.0, 0.0}, {5.0, 0.0}, {10.0, 0.0}}).ok());
 
   EXPECT_EQ(ClusterByGrid(*root_last, 2, 1).cluster_of_node,
             (std::vector<int>{0, 0, -1}));
@@ -132,7 +134,7 @@ TEST(ClusterAggregateTest, CheaperThanShippingAllValuesOnDeepTrees) {
   net::Topology topo = net::BuildChain(30);
   std::vector<net::Point> pos(30);
   for (int i = 0; i < 30; ++i) pos[i] = {double(i), 0.0};
-  topo.set_positions(pos);
+  ASSERT_TRUE(topo.set_positions(pos).ok());
   Clustering c = ClusterByGrid(topo, 2, 1);
   std::vector<double> truth(30, 1.0);
   net::NetworkSimulator agg_sim(&topo, net::EnergyModel{});

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/core/generalized.h"
 #include "src/core/greedy_planner.h"
 #include "src/core/lp_filter_planner.h"
@@ -98,6 +100,51 @@ TEST(PlanManagerTest, AccuracyObservationControlsExploreRate) {
   EXPECT_DOUBLE_EQ(mgr.explore_probability(), 0.25);
   mgr.ObserveAccuracy(0.95);
   EXPECT_DOUBLE_EQ(mgr.explore_probability(), 0.02);
+}
+
+// A planner that records how often it actually runs.
+class CountingPlanner : public Planner {
+ public:
+  Result<QueryPlan> Plan(const PlannerContext& ctx,
+                         const sampling::SampleSet& samples,
+                         const PlanRequest& request) override {
+    ++calls;
+    return inner.Plan(ctx, samples, request);
+  }
+  std::string name() const override { return "counting"; }
+
+  GreedyPlanner inner;
+  int calls = 0;
+};
+
+TEST(PlanManagerTest, EveryReplanPlans) {
+  World w(66, 30);
+  Rng rng(67);
+  sampling::SampleSet samples = sampling::SampleSet::ForTopK(30, 5);
+  for (int s = 0; s < 10; ++s) samples.Add(w.field.Sample(&rng));
+  net::NetworkSimulator sim(&w.topo, w.ctx.energy);
+  CountingPlanner planner;
+  PlanManager manager(&planner, PlanRequest{5, 8.0});
+
+  auto first = manager.MaybeReplan(w.ctx, samples, &sim);
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(*first);
+  // An unchanged window replans and, planners being deterministic,
+  // rejects the identical candidate.
+  for (int i = 0; i < 3; ++i) {
+    auto again = manager.MaybeReplan(w.ctx, samples, &sim);
+    ASSERT_TRUE(again.ok());
+    EXPECT_FALSE(*again);
+  }
+  EXPECT_EQ(planner.calls, 4);
+  EXPECT_EQ(manager.disseminations(), 1);
+
+  // After InvalidatePlan (a heal) the next call installs again.
+  manager.InvalidatePlan();
+  auto reinstalled = manager.MaybeReplan(w.ctx, samples, &sim);
+  ASSERT_TRUE(reinstalled.ok());
+  EXPECT_TRUE(*reinstalled);
+  EXPECT_EQ(planner.calls, 5);
 }
 
 // ---- Generalized subset queries ----

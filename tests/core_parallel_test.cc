@@ -1,9 +1,8 @@
-// Determinism contract of the parallel planning engine: any thread count
-// must produce bit-identical plans, objectives, and evaluations to the
-// single-threaded seed path — parallelism buys wall time, never different
-// answers. Plus SampleHits' packed scoring against its dense reference,
-// and the regression test for the old root-index assumption in SampleHits
-// (node 0 silently skipped when the root is not node 0).
+// Determinism of pooled plan sweeps: PlanSweep on a thread pool returns
+// exactly the serial sweep's plans, in request order. Plus SampleHits'
+// packed scoring against its dense reference, and the regression test for
+// the old root-index assumption in SampleHits (node 0 silently skipped
+// when the root is not node 0).
 
 #include <gtest/gtest.h>
 
@@ -12,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/greedy_planner.h"
-#include "src/core/lp_filter_planner.h"
 #include "src/core/lp_no_filter_planner.h"
 #include "src/core/plan_eval.h"
 #include "src/core/plan_manager.h"
@@ -51,63 +48,6 @@ void ExpectSamePlan(const QueryPlan& a, const QueryPlan& b) {
   EXPECT_EQ(a.k, b.k);
   EXPECT_EQ(a.bandwidth, b.bandwidth);
   EXPECT_EQ(a.chosen, b.chosen);
-}
-
-TEST(ParallelPlanningTest, SampleHitsIdenticalForAnyThreadCount) {
-  Instance inst = MakeInstance(60, 8, 20, 41);
-  LpFilterPlanner planner;
-  auto plan = planner.Plan(inst.ctx, inst.samples, PlanRequest{8, 10.0});
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-
-  const int serial = SampleHits(*plan, inst.topology, inst.samples);
-  for (int threads : {2, 3, 4, 8}) {
-    util::ThreadPool pool(threads);
-    EXPECT_EQ(SampleHits(*plan, inst.topology, inst.samples, &pool), serial)
-        << threads << " threads";
-  }
-}
-
-TEST(ParallelPlanningTest, GreedyPlansBitIdenticalAcrossThreadCounts) {
-  Instance inst = MakeInstance(60, 8, 15, 42);
-  for (double budget : {2.0, 6.0, 14.0}) {
-    GreedyPlanner serial;
-    GreedyPlanner parallel(GreedyPlannerOptions{/*threads=*/4});
-    auto a = serial.Plan(inst.ctx, inst.samples, PlanRequest{8, budget});
-    auto b = parallel.Plan(inst.ctx, inst.samples, PlanRequest{8, budget});
-    ASSERT_TRUE(a.ok() && b.ok());
-    ExpectSamePlan(*a, *b);
-  }
-}
-
-TEST(ParallelPlanningTest, LpNoFilterPlansBitIdenticalAcrossThreadCounts) {
-  Instance inst = MakeInstance(50, 8, 12, 43);
-  for (double budget : {4.0, 8.0, 16.0}) {
-    LpNoFilterPlanner serial;
-    LpPlannerOptions opts;
-    opts.threads = 4;
-    LpNoFilterPlanner parallel(opts);
-    auto a = serial.Plan(inst.ctx, inst.samples, PlanRequest{8, budget});
-    auto b = parallel.Plan(inst.ctx, inst.samples, PlanRequest{8, budget});
-    ASSERT_TRUE(a.ok() && b.ok());
-    ExpectSamePlan(*a, *b);
-    // Objective values must match to the last bit, not just approximately.
-    EXPECT_EQ(serial.last_lp_objective(), parallel.last_lp_objective());
-  }
-}
-
-TEST(ParallelPlanningTest, LpFilterPlansBitIdenticalAcrossThreadCounts) {
-  Instance inst = MakeInstance(50, 8, 12, 44);
-  for (double budget : {4.0, 8.0, 16.0}) {
-    LpFilterPlanner serial;
-    LpPlannerOptions opts;
-    opts.threads = 4;
-    LpFilterPlanner parallel(opts);
-    auto a = serial.Plan(inst.ctx, inst.samples, PlanRequest{8, budget});
-    auto b = parallel.Plan(inst.ctx, inst.samples, PlanRequest{8, budget});
-    ASSERT_TRUE(a.ok() && b.ok());
-    ExpectSamePlan(*a, *b);
-    EXPECT_EQ(serial.last_lp_objective(), parallel.last_lp_objective());
-  }
 }
 
 TEST(ParallelPlanningTest, PlanSweepMatchesSerialSweepInOrder) {
@@ -163,7 +103,6 @@ TEST(SampleHitsTest, PackedRowsMatchDenseForBothPlanKinds) {
   std::vector<net::Topology> topologies;
   topologies.push_back(net::BuildConnectedGeometricNetwork(geo, &rng).value());
   topologies.push_back(RandomTree(65, 41, &rng));
-  util::ThreadPool pool(3);
   for (const net::Topology& topo : topologies) {
     const int n = topo.num_nodes();
     const std::string where = "n=" + std::to_string(n);
@@ -193,7 +132,6 @@ TEST(SampleHitsTest, PackedRowsMatchDenseForBothPlanKinds) {
       }
       EXPECT_GT(dense_total, 0) << where;
       EXPECT_EQ(SampleHits(*plan, topo, samples), dense_total) << where;
-      EXPECT_EQ(SampleHits(*plan, topo, samples, &pool), dense_total) << where;
     }
   }
 }

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <memory>
+#include <string>
 
 #include "src/core/executor.h"
 #include "src/core/greedy_planner.h"
 #include "src/core/lp_filter_planner.h"
 #include "src/core/lp_no_filter_planner.h"
 #include "src/core/plan_eval.h"
+#include "src/core/proof_planner.h"
 #include "src/data/contention.h"
 #include "src/data/gaussian_field.h"
 #include "src/net/simulator.h"
@@ -224,6 +228,77 @@ TEST(LpPlannersTest, FailureAwareCostsShrinkPlans) {
   net::NetworkSimulator sim(&inst.topology, failing.energy, failing.failures);
   EXPECT_LE(ExpectedCollectionCost(*careful, sim), req.energy_budget_mj + 1e-6);
 }
+
+// The acceptance gate for the revised simplex engine: every planner run
+// with the dense oracle forced and with the revised engine forced must
+// reach the same LP objective. In a -DPROSPECTOR_LP_CROSSCHECK=ON build,
+// where every revised solve also runs the dense oracle and returns its
+// solution, the plans themselves are bit-identical — a degenerate LP
+// cannot round an alternate vertex into a different plan.
+TEST(LpPlannersTest, PlansAgreeAcrossSimplexEnginesUnderCrossCheck) {
+  auto make_planner = [](int which, lp::SimplexAlgorithm algorithm)
+      -> std::unique_ptr<Planner> {
+    LpPlannerOptions lp;
+    lp.simplex.algorithm = algorithm;
+    switch (which) {
+      case 0:
+        return std::make_unique<GreedyPlanner>();
+      case 1:
+        return std::make_unique<LpNoFilterPlanner>(lp);
+      case 2:
+        return std::make_unique<LpFilterPlanner>(lp);
+      default:
+        return std::make_unique<ProofPlanner>(lp);
+    }
+  };
+  auto lp_objective = [](Planner* planner, int which) {
+    switch (which) {
+      case 1:
+        return static_cast<LpNoFilterPlanner*>(planner)->last_lp_objective();
+      case 2:
+        return static_cast<LpFilterPlanner*>(planner)->last_lp_objective();
+      default:
+        return static_cast<ProofPlanner*>(planner)->last_lp_objective();
+    }
+  };
+  auto expect_same_plan = [](const QueryPlan& a, const QueryPlan& b,
+                             const std::string& where) {
+    EXPECT_EQ(a.kind, b.kind) << where;
+    EXPECT_EQ(a.k, b.k) << where;
+    EXPECT_EQ(a.bandwidth, b.bandwidth) << where;
+    EXPECT_EQ(a.chosen, b.chosen) << where;
+  };
+
+  for (int which = 0; which < 4; ++which) {
+    Instance inst = MakeGaussianInstance(40, 6, 12, 400 + which);
+    auto dense_planner = make_planner(which, lp::SimplexAlgorithm::kDense);
+    auto revised_planner = make_planner(which, lp::SimplexAlgorithm::kRevised);
+
+    const double budget =
+        which == 3 ? ProofPlanner::MinimumCost(inst.ctx) * 1.6 : 9.0;
+    PlanRequest request{6, budget};
+
+    auto dense_plan = dense_planner->Plan(inst.ctx, inst.samples, request);
+    auto revised_plan = revised_planner->Plan(inst.ctx, inst.samples, request);
+    ASSERT_TRUE(dense_plan.ok()) << dense_plan.status().ToString();
+    ASSERT_TRUE(revised_plan.ok()) << revised_plan.status().ToString();
+
+    const std::string where = "planner " + dense_planner->name();
+    if (which == 0) {
+      // No LP in greedy: engine choice cannot matter.
+      expect_same_plan(*dense_plan, *revised_plan, where);
+      continue;
+    }
+    const double dense_obj = lp_objective(dense_planner.get(), which);
+    const double revised_obj = lp_objective(revised_planner.get(), which);
+    EXPECT_NEAR(revised_obj, dense_obj, 1e-6 * (1.0 + std::abs(dense_obj)))
+        << where;
+#ifdef PROSPECTOR_LP_CROSSCHECK
+    expect_same_plan(*dense_plan, *revised_plan, where);
+#endif
+  }
+}
+
 
 }  // namespace
 }  // namespace core

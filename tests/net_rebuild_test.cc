@@ -78,7 +78,7 @@ TEST(RebuildTest, CutVertexOrphansItsSubtree) {
   Topology chain = BuildChain(5);
   std::vector<Point> pos(5);
   for (int i = 0; i < 5; ++i) pos[i] = {10.0 * i, 0.0};
-  chain.set_positions(pos);
+  ASSERT_TRUE(chain.set_positions(pos).ok());
   auto rebuilt = RebuildWithoutNodes(chain, {2}, /*radio_range=*/10.0);
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_EQ(rebuilt->topology.num_nodes(), 2);  // nodes 0 and 1
@@ -92,7 +92,7 @@ TEST(RebuildTest, NonZeroRootIsPreserved) {
       Topology::FromParents({1, 2, 3, Topology::kNoParent, 3, 4}).value();
   std::vector<Point> pos;
   for (int i = 0; i < 6; ++i) pos.push_back({10.0 * i, 0.0});
-  topo.set_positions(pos);
+  ASSERT_TRUE(topo.set_positions(pos).ok());
   ASSERT_EQ(topo.root(), 3);
 
   auto rebuilt = RebuildWithoutNodes(topo, {4}, /*radio_range=*/12.0);

@@ -1,10 +1,15 @@
 #include "src/net/topology.h"
 
 #include <algorithm>
+#include <deque>
+#include <numeric>
 #include <set>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "src/net/rebuild.h"
 #include "src/util/rng.h"
 
 namespace prospector {
@@ -117,6 +122,91 @@ TEST(TopologyTest, ChainAndStar) {
   Topology star = BuildStar(6);
   EXPECT_EQ(star.height(), 1);
   EXPECT_EQ(star.children(0).size(), 5u);
+}
+
+// A random tree on n nodes rooted at `root`: each node hangs off one
+// placed earlier in a shuffled order.
+Topology RandomTreeRootedAt(int n, int root, Rng* rng) {
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::swap(order[0], order[root]);
+  for (int i = n - 1; i > 1; --i) {
+    std::swap(order[i], order[rng->UniformInt(1, i)]);
+  }
+  std::vector<int> parents(n, Topology::kNoParent);
+  for (int p = 1; p < n; ++p) {
+    parents[order[p]] = order[rng->UniformInt(0, p - 1)];
+  }
+  return Topology::FromParents(std::move(parents)).value();
+}
+
+// The lists FromParents builds equal a brute-force walk in the documented
+// orders (the LP planners' term order depends on them), and travel with
+// copies and moves.
+TEST(TopologyTest, PerNodeListsMatchParentWalk) {
+  Rng rng(2006);
+  for (int n : {1, 2, 65, 130}) {
+    const Topology t = RandomTreeRootedAt(n, n - 1, &rng);
+    ASSERT_EQ(t.root(), n - 1);
+    for (int i = 0; i < n; ++i) {
+      const std::string where =
+          "n=" + std::to_string(n) + " node " + std::to_string(i);
+      std::vector<int> anc, path;
+      for (int u = i; u != Topology::kNoParent; u = t.parent(u)) {
+        anc.push_back(u);
+        if (u != t.root()) path.push_back(u);
+      }
+      // Breadth-first from i, each node's children in ascending id.
+      std::vector<int> desc;
+      std::deque<int> queue{i};
+      while (!queue.empty()) {
+        const int u = queue.front();
+        queue.pop_front();
+        desc.push_back(u);
+        for (int v = 0; v < n; ++v) {
+          if (t.parent(v) == u) queue.push_back(v);
+        }
+      }
+      EXPECT_EQ(t.AncestorsOf(i), anc) << where;
+      EXPECT_EQ(t.PathEdges(i), path) << where;
+      EXPECT_EQ(t.DescendantsOf(i), desc) << where;
+      // Built once: every call returns the same list.
+      EXPECT_EQ(&t.PathEdges(i), &t.PathEdges(i)) << where;
+    }
+
+    const Topology copy = t;
+    Topology source = t;
+    const Topology moved = std::move(source);
+    for (int i = 0; i < n; ++i) {
+      for (const Topology* other : {&copy, &moved}) {
+        EXPECT_EQ(other->AncestorsOf(i), t.AncestorsOf(i)) << "n=" << n;
+        EXPECT_EQ(other->PathEdges(i), t.PathEdges(i)) << "n=" << n;
+        EXPECT_EQ(other->DescendantsOf(i), t.DescendantsOf(i)) << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST(TopologyTest, SetPositionsRejectsWrongLength) {
+  Topology chain = BuildChain(6);
+  std::vector<Point> pos(6);
+  for (int i = 0; i < 6; ++i) pos[i] = {10.0 * i, 0.0};
+  ASSERT_TRUE(chain.set_positions(pos).ok());
+  for (size_t len : {0, 2, 7}) {
+    EXPECT_EQ(chain.set_positions(std::vector<Point>(len)).code(),
+              StatusCode::kInvalidArgument)
+        << len << " positions";
+    ASSERT_EQ(chain.positions().size(), 6u);  // unchanged on error
+    EXPECT_EQ(chain.positions()[5].x, 50.0);
+  }
+
+  // A rejected placement leaves the tree unplaced, so a rebuild refuses
+  // it instead of reading positions past the end.
+  Topology unplaced = BuildChain(6);
+  EXPECT_FALSE(unplaced.set_positions(std::vector<Point>(2)).ok());
+  EXPECT_TRUE(unplaced.positions().empty());
+  EXPECT_EQ(RebuildWithoutNodes(unplaced, {3}, 5.0).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(GeometricNetworkTest, DisconnectedPlacementFails) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -150,6 +152,45 @@ TEST(FleetServiceTest, TypedRejectionsAndMetrics) {
   // The queue drains at the boundary; admission resumes.
   ASSERT_TRUE(fleet->RunEpoch().ok());
   EXPECT_TRUE(fleet->Admit(MakeAdmit(0, 9)).admitted);
+}
+
+TEST(FleetServiceTest, NonFiniteBudgetsAreInvalidSpecs) {
+  FleetWorld world(4, 1, 20);
+  auto fleet = world.MakeFleet({});
+  TenantQuota capped;
+  capped.max_energy_mj_per_epoch = 20.0;
+  fleet->SetTenantQuota(5, capped);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double budget : {std::nan(""), inf, -inf}) {
+    for (int tenant : {5, 6}) {  // with and without an energy cap
+      AdmitQueryRequest req = MakeAdmit(0, tenant, 3, budget);
+      req.spec.planner = core::PlannerChoice::kLpNoFilter;
+      const AdmitQueryResponse resp = fleet->Admit(req);
+      EXPECT_FALSE(resp.admitted) << budget;
+      EXPECT_EQ(resp.reject, AdmitReject::kInvalidSpec) << budget;
+    }
+  }
+  // Nothing was reserved or queued.
+  const FleetStatus status = fleet->Snapshot();
+  EXPECT_EQ(status.pending_requests, 0);
+  for (const TenantStatus& t : status.per_tenant) {
+    EXPECT_EQ(t.standing_queries, 0) << "tenant " << t.tenant_id;
+    EXPECT_EQ(t.admitted_budget_mj, 0.0) << "tenant " << t.tenant_id;
+  }
+
+  // The cap still binds, and the deployment keeps planning and serving.
+  AdmitQueryRequest within = MakeAdmit(0, 5, 3, 15.0);
+  within.spec.planner = core::PlannerChoice::kLpNoFilter;
+  ASSERT_TRUE(fleet->Admit(within).admitted);
+  EXPECT_EQ(fleet->Admit(MakeAdmit(0, 5, 3, 1000.0)).reject,
+            AdmitReject::kTenantEnergyQuota);
+  for (int e = 0; e < 8; ++e) {
+    auto report = fleet->RunEpoch();
+    ASSERT_TRUE(report.ok()) << "epoch " << e << ": "
+                             << report.status().ToString();
+  }
+  EXPECT_EQ(fleet->deployment(0).num_queries(), 1);
 }
 
 TEST(FleetServiceTest, RetireOwnershipLifecycleAndQuotaRelease) {

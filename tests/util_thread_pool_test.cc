@@ -49,38 +49,6 @@ TEST(ThreadPoolTest, ParallelForHandlesFewerItemsThanThreads) {
   pool.ParallelFor(0, [&](int, int) { FAIL() << "empty range must not run"; });
 }
 
-TEST(ThreadPoolTest, ParallelReduceMatchesSequentialSum) {
-  ThreadPool pool(4);
-  const int n = 257;  // not a multiple of the thread count
-  const int64_t got = pool.ParallelReduce<int64_t>(
-      n, 0, [](int i) { return static_cast<int64_t>(i) * i; },
-      [](int64_t acc, int64_t v) { return acc + v; });
-  int64_t want = 0;
-  for (int i = 0; i < n; ++i) want += static_cast<int64_t>(i) * i;
-  EXPECT_EQ(got, want);
-}
-
-TEST(ThreadPoolTest, FloatingPointReduceIsBitIdenticalAcrossThreadCounts) {
-  // Non-associative combiner: naive double summation of values at wildly
-  // different magnitudes. Index-ordered combining must make every thread
-  // count produce the exact same bits.
-  const int n = 10000;
-  std::vector<double> values(n);
-  for (int i = 0; i < n; ++i) {
-    values[i] = (i % 7 == 0 ? 1e16 : 1.0) / (1.0 + i);
-  }
-  auto sum_with = [&](int threads) {
-    ThreadPool pool(threads);
-    return pool.ParallelReduce<double>(
-        n, 0.0, [&](int i) { return values[i]; },
-        [](double acc, double v) { return acc + v; });
-  };
-  const double serial = sum_with(1);
-  EXPECT_EQ(serial, sum_with(2));
-  EXPECT_EQ(serial, sum_with(4));
-  EXPECT_EQ(serial, sum_with(7));
-}
-
 TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
   ThreadPool pool(4);
   std::atomic<int> total{0};
@@ -96,9 +64,11 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
 TEST(ThreadPoolTest, PoolIsReusableAcrossManyDispatches) {
   ThreadPool pool(3);
   for (int round = 0; round < 50; ++round) {
-    const int got = pool.ParallelReduce<int>(
-        100, 0, [](int) { return 1; }, [](int acc, int v) { return acc + v; });
-    ASSERT_EQ(got, 100);
+    std::atomic<int> total{0};
+    pool.ParallelFor(100, [&](int begin, int end) {
+      total.fetch_add(end - begin);
+    });
+    ASSERT_EQ(total.load(), 100);
   }
 }
 
