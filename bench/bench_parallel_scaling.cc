@@ -84,16 +84,9 @@ std::vector<core::QueryPlan> RunSweep(const Instance& inst,
   return plans;
 }
 
-bool SamePlan(const core::QueryPlan& a, const core::QueryPlan& b) {
-  return a.kind == b.kind && a.k == b.k && a.bandwidth == b.bandwidth &&
-         a.chosen == b.chosen;
-}
-
 void CheckIdentical(const std::vector<core::QueryPlan>& base,
                     const std::vector<core::QueryPlan>& got, int threads) {
-  bool ok = base.size() == got.size();
-  for (size_t i = 0; ok && i < base.size(); ++i) ok = SamePlan(base[i], got[i]);
-  if (!ok) {
+  if (base != got) {
     std::fprintf(stderr,
                  "FATAL: %d-thread sweep differs from single-threaded\n",
                  threads);

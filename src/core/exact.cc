@@ -1,24 +1,16 @@
 #include "src/core/exact.h"
 
+#include <algorithm>
+
 namespace prospector {
 namespace core {
 
-Result<ExactResult> RunProspectorExact(const PlannerContext& ctx,
-                                       const sampling::SampleSet& samples,
-                                       int k, double phase1_budget_mj,
-                                       const std::vector<double>& truth,
-                                       net::NetworkSimulator* sim,
-                                       const LpPlannerOptions& options,
-                                       TransportGuard* guard) {
-  ProofPlanner planner(options);
-  PlanRequest request;
-  request.k = k;
-  request.energy_budget_mj = phase1_budget_mj;
-  auto plan = planner.Plan(ctx, samples, request);
-  if (!plan.ok()) return plan.status();
-
+ExactResult ExecuteProspectorExact(const QueryPlan& plan,
+                                   const std::vector<double>& truth,
+                                   net::NetworkSimulator* sim,
+                                   TransportGuard* guard) {
   ExactResult result;
-  ProofExecutor executor(&plan.value(), sim, MopUpMode::kBroadcast, guard);
+  ProofExecutor executor(&plan, sim, MopUpMode::kBroadcast, guard);
   ExecutionResult phase1 = executor.ExecutePhase1(truth);
   result.phase1_energy_mj = phase1.total_energy_mj();
   result.phase1_proven = phase1.proven_count;
@@ -27,7 +19,8 @@ Result<ExactResult> RunProspectorExact(const PlannerContext& ctx,
   result.edge_expected = phase1.edge_expected;
   result.edge_delivered = phase1.edge_delivered;
 
-  if (phase1.proven_count >= std::min<int>(k, ctx.topology->num_nodes())) {
+  if (phase1.proven_count >=
+      std::min<int>(plan.k, sim->topology().num_nodes())) {
     result.answer = phase1.answer;
     return result;
   }
@@ -38,6 +31,19 @@ Result<ExactResult> RunProspectorExact(const PlannerContext& ctx,
   result.degraded = result.degraded || phase2.degraded;
   result.values_lost += phase2.values_lost;
   return result;
+}
+
+Result<ExactResult> RunProspectorExact(const PlannerContext& ctx,
+                                       const sampling::SampleSet& samples,
+                                       int k, double phase1_budget_mj,
+                                       const std::vector<double>& truth,
+                                       net::NetworkSimulator* sim,
+                                       const LpPlannerOptions& options,
+                                       TransportGuard* guard) {
+  ProofPlanner planner(options);
+  auto plan = planner.Plan(ctx, samples, PlanRequest{k, phase1_budget_mj});
+  if (!plan.ok()) return plan.status();
+  return ExecuteProspectorExact(*plan, truth, sim, guard);
 }
 
 }  // namespace core

@@ -35,14 +35,22 @@ struct ExactResult {
   }
 };
 
-/// PROSPECTOR Exact (Section 4.3): plan a proof-carrying phase 1 within
-/// `phase1_budget_mj`, execute it, and if the root fails to prove all k
-/// values, run the mop-up phase to retrieve the rest exactly. Sample
-/// knowledge only affects cost, never correctness.
+/// The execution half of PROSPECTOR Exact: runs the proof-carrying `plan`
+/// (a ProofPlanner plan for the topology `sim` serves) as phase 1, and if
+/// the root proves fewer than min(plan.k, #nodes) values, runs the mop-up
+/// phase to retrieve the rest exactly.
 ///
 /// Charges all messages (trigger + both phases) to `sim`. `guard`
 /// (optional) applies the fenced transport protocol to both phases — see
 /// CollectionExecutor::Execute.
+ExactResult ExecuteProspectorExact(const QueryPlan& plan,
+                                   const std::vector<double>& truth,
+                                   net::NetworkSimulator* sim,
+                                   TransportGuard* guard = nullptr);
+
+/// PROSPECTOR Exact (Section 4.3): plan a proof-carrying phase 1 within
+/// `phase1_budget_mj` (ProofPlanner::Plan), then ExecuteProspectorExact
+/// it. Sample knowledge only affects cost, never correctness.
 Result<ExactResult> RunProspectorExact(const PlannerContext& ctx,
                                        const sampling::SampleSet& samples,
                                        int k, double phase1_budget_mj,

@@ -23,6 +23,9 @@ struct LpPlannerOptions {
   /// program — its size grows as #samples x #nodes x tree height, so a
   /// large sample window must be subsampled (<= 0 disables the cap).
   int max_proof_samples = 8;
+
+  /// Field-wise equality: the engine keys memoized proof plans on it.
+  bool operator==(const LpPlannerOptions&) const = default;
 };
 
 /// PROSPECTOR LP-LF (Section 4.1): topology-aware linear program without

@@ -57,6 +57,8 @@ struct QueryPlan {
   int CountVisitedNodes(const net::Topology& topology) const;
 
   std::string DebugString(const net::Topology& topology) const;
+
+  bool operator==(const QueryPlan&) const = default;
 };
 
 /// Expected energy of one collection phase under this plan: per used edge,

@@ -93,6 +93,34 @@ net::TransmissionStats QueryEngine::TakeRadioStats() {
   return stats;
 }
 
+const QueryPlan* QueryEngine::FindAuditPlan(const QuerySpec& spec,
+                                            double budget_mj) const {
+  for (const MemoizedAuditPlan& m : audit_plans_) {
+    if (m.k == spec.k && m.budget_mj == budget_mj && m.lp == spec.lp) {
+      return &m.plan;
+    }
+  }
+  return nullptr;
+}
+
+const QueryPlan* QueryEngine::audit_plan(int id) const {
+  const QuerySpec& spec = At(id).spec;
+  return FindAuditPlan(spec, AuditBudget(spec));
+}
+
+Result<const QueryPlan*> QueryEngine::AuditPlanFor(const QueryState& q) {
+  const double budget = AuditBudget(q.spec);
+  if (const QueryPlan* memoized = FindAuditPlan(q.spec, budget)) {
+    PROSPECTOR_COUNTER_ADD("engine.audit_plan_reuses", 1);
+    return memoized;
+  }
+  auto plan = ProofPlanner(q.spec.lp).Plan(ctx_, q.samples,
+                                           PlanRequest{q.spec.k, budget});
+  if (!plan.ok()) return plan.status();
+  audit_plans_.push_back({q.spec.k, budget, q.spec.lp, std::move(*plan)});
+  return &audit_plans_.back().plan;
+}
+
 Result<bool> QueryEngine::ReplanQuery(QueryState* q) {
   PROSPECTOR_SPAN("session.replan");
   const int64_t start_us = obs::MonotonicNowUs();
@@ -197,6 +225,7 @@ Result<bool> QueryEngine::MaybeHeal(TickResult* result) {
   for (QueryState* q : registry_.ordered()) {
     q->samples = q->samples.Remapped(new_id, new_n);
   }
+  audit_plans_.clear();
   for (std::vector<double>& collected : history_) {
     std::vector<double> remapped(new_n, 0.0);
     for (int i = 0; i < n; ++i) {
@@ -409,7 +438,13 @@ Result<QueryEngine::TickResult> QueryEngine::Tick(
     std::vector<double> collected;
     const sampling::SweepReport sweep =
         collector_.CollectSweep(*cur_truth, &sim_, fallback, &collected);
+    // Every live window takes the same sweep here, and a newcomer's is
+    // hydrated from history_ (the same sweeps under the same cap), so
+    // queries with equal k hold equal windows. That is why the audit-plan
+    // memo needs no query id in its key; the windows just changed, so it
+    // is stale.
     for (auto& q : queries) q->samples.Add(collected);
+    audit_plans_.clear();
     history_.push_back(std::move(collected));
     while (options_.sample_window > 0 &&
            history_.size() > options_.sample_window) {
@@ -476,30 +511,32 @@ Result<QueryEngine::TickResult> QueryEngine::Tick(
         ++q->queries_since_audit >= q->spec.audit_every) {
       q->queries_since_audit = 0;
       qr.kind = QueryEpochKind::kAudit;
-      auto exact = RunProspectorExact(
-          ctx_, q->samples, q->spec.k,
-          ProofPlanner::MinimumCost(ctx_) * q->spec.audit_budget_factor,
-          *cur_truth, &sim_, q->spec.lp, guard());
+      auto plan = AuditPlanFor(*q);
+      if (!plan.ok()) return plan.status();
+      const ExactResult exact =
+          ExecuteProspectorExact(**plan, *cur_truth, &sim_, guard());
       [[maybe_unused]] const double audit_ledger_mj =
           TakeRadioStats().total_energy_mj;
-      if (!exact.ok()) return exact.status();
-      PROSPECTOR_AUDIT_ENERGY("session.audit", exact->total_energy_mj(),
+      PROSPECTOR_AUDIT_ENERGY("session.audit", exact.total_energy_mj(),
                               audit_ledger_mj);
-      audit_energy_ += exact->total_energy_mj();
-      q->audit_energy_mj += exact->total_energy_mj();
-      qr.answer = exact->answer;
+      audit_energy_ += exact.total_energy_mj();
+      q->audit_energy_mj += exact.total_energy_mj();
+      qr.answer = exact.answer;
       TranslateAnswer(&qr.answer);
-      qr.proven = exact->phase1_proven;
+      qr.proven = exact.phase1_proven;
       qr.recall = TopKRecall(qr.answer, truth, q->spec.k);
-      qr.energy_mj = exact->total_energy_mj();
-      qr.degraded = exact->degraded;
-      qr.values_lost = exact->values_lost;
+      qr.energy_mj = exact.total_energy_mj();
+      qr.degraded = exact.degraded;
+      qr.values_lost = exact.values_lost;
+      // A proof can certify at most min(k, n) values (k may exceed the
+      // tree, e.g. after a heal); that many proven is full accuracy.
       q->manager.ObserveAccuracy(
-          static_cast<double>(exact->phase1_proven) / q->spec.k);
-      result.energy_mj += exact->total_energy_mj();
-      result.values_lost += exact->values_lost;
-      result.degraded = result.degraded || exact->degraded;
-      ObserveEdges(exact->edge_expected, exact->edge_delivered);
+          static_cast<double>(exact.phase1_proven) /
+          std::min(q->spec.k, topology_->num_nodes()));
+      result.energy_mj += exact.total_energy_mj();
+      result.values_lost += exact.values_lost;
+      result.degraded = result.degraded || exact.degraded;
+      ObserveEdges(exact.edge_expected, exact.edge_delivered);
     } else {
       sharers.push_back(i);
     }

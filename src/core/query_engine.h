@@ -168,6 +168,11 @@ class QueryEngine {
   /// The merged superplan of the most recent query epoch (empty before
   /// the first one).
   const Superplan& superplan() const { return superplan_; }
+  /// The proof plan the engine holds for query `id`'s audit on the current
+  /// sample windows (the plan its audits execute until a sweep or a heal
+  /// changes the windows), or nullptr when no audit with its key has run
+  /// since. Valid until the next Tick; aborts on unknown id.
+  const QueryPlan* audit_plan(int id) const;
 
   /// Cumulative radio energy by activity, mJ (audited epoch totals; the
   /// per-query attributed ledgers sum to these).
@@ -187,6 +192,16 @@ class QueryEngine {
   /// through here so the cumulative accounting survives ResetStats).
   net::TransmissionStats TakeRadioStats();
   Result<bool> ReplanQuery(QueryState* q);
+  /// Phase-1 budget of `spec`'s audits on the current tree and cost model.
+  double AuditBudget(const QuerySpec& spec) const {
+    return ProofPlanner::MinimumCost(ctx_) * spec.audit_budget_factor;
+  }
+  const QueryPlan* FindAuditPlan(const QuerySpec& spec,
+                                 double budget_mj) const;
+  /// The proof plan for `q`'s next audit: the memoized one when an audit
+  /// with the same key already planned on the current windows, else a
+  /// fresh ProofPlanner::Plan, memoized.
+  Result<const QueryPlan*> AuditPlanFor(const QueryState& q);
   void ObserveEdges(const std::vector<char>& expected,
                     const std::vector<char>& delivered);
   void TranslateAnswer(std::vector<Reading>* answer) const;
@@ -205,6 +220,19 @@ class QueryEngine {
   Rng rng_;
   int epoch_ = 0;
   Superplan superplan_;
+  /// Proof plans solved on the current sample windows, one per distinct
+  /// audit key. A proof plan is a function of tree, cost model, window, k,
+  /// budget and LP options; the first two are fixed between heals, and
+  /// queries with equal k hold equal windows (see Tick), so the key is
+  /// (k, budget, lp). Cleared wherever a window changes: the sweep feed
+  /// and the heal.
+  struct MemoizedAuditPlan {
+    int k;
+    double budget_mj;
+    LpPlannerOptions lp;
+    QueryPlan plan;
+  };
+  std::vector<MemoizedAuditPlan> audit_plans_;
   TransportGuard guard_;
   bool guarding_ = false;
   net::TransmissionStats radio_totals_;

@@ -124,6 +124,8 @@ struct SimplexOptions {
   /// The eta file is also rebuilt early when its fill-in outgrows the
   /// basis dimension (see revised_simplex.cc).
   int refactor_interval = 64;
+
+  bool operator==(const SimplexOptions&) const = default;
 };
 
 /// Two-phase primal simplex with bounded variables, with two engines: a

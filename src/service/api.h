@@ -17,7 +17,9 @@ namespace service {
 enum class AdmitReject {
   kNone = 0,
   kUnknownDeployment,  ///< deployment_id names no registered deployment
-  kInvalidSpec,        ///< k <= 0, or energy budget not finite and > 0
+  /// k <= 0; energy budget not finite and > 0; or audits on
+  /// (audit_every > 0) with audit_budget_factor not finite and >= 1.
+  kInvalidSpec,
   kTenantQueryQuota,   ///< tenant at max standing queries
   kTenantEnergyQuota,  ///< admitted budgets would exceed the tenant cap
   kQueueFull,          ///< admission backpressure: pending queue at cap

@@ -117,6 +117,17 @@ AdmitQueryResponse FleetService::Admit(const AdmitQueryRequest& request) {
     CountReject(request.tenant_id, resp.reject);
     return resp;
   }
+  // An audit's phase-1 budget is audit_budget_factor times the proof
+  // floor. Below 1 (or NaN, or infinite) no proof plan exists, and the
+  // failing audit would fail every later epoch of the whole fleet.
+  const double audit_factor = request.spec.audit_budget_factor;
+  if (request.spec.audit_every > 0 &&
+      !(std::isfinite(audit_factor) && audit_factor >= 1.0)) {
+    resp.reject = AdmitReject::kInvalidSpec;
+    resp.message = "an audited spec needs a finite audit_budget_factor >= 1";
+    CountReject(request.tenant_id, resp.reject);
+    return resp;
+  }
 
   // Reserve quota before allocating an id: a rejected admission must
   // leave no trace beyond its reject counters.

@@ -4,13 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/executor.h"
 #include "src/core/plan_merge.h"
 #include "src/data/gaussian_field.h"
 #include "src/obs/audit.h"
+#include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/util/rng.h"
 
@@ -387,6 +390,176 @@ TEST(QueryEngineTest, PerQueryAuditsRunAlongsideMergedQueries) {
   EXPECT_GT(merged_during_audit, 0)
       << "the unaudited query must keep answering during audits";
   EXPECT_GT(engine.audit_energy_mj(q_audited), 0.0);
+}
+
+// A proof certifies at most min(k, n) values, so an audit that proves
+// every node of a tree smaller than k is fully accurate and must leave
+// exploration at its base rate. k = 8 on a 6-node star, where every proof
+// plan delivers every reading to the root.
+TEST(QueryEngineTest, AuditAccuracyIsScoredAgainstMinOfKAndTreeSize) {
+  auto topo = net::Topology::FromParents({-1, 0, 0, 0, 0, 0}).value();
+  QueryEngineOptions opts;
+  opts.bootstrap_sweeps = 3;
+  QueryEngine engine(&topo, {}, {}, opts, 29);
+  QuerySpec spec;
+  spec.k = 8;
+  spec.energy_budget_mj = 20.0;
+  spec.planner = PlannerChoice::kGreedy;
+  spec.audit_every = 1;
+  const int id = engine.AddQuery(spec);
+
+  Rng rng(30);
+  int audits = 0;
+  for (int t = 0; t < 40; ++t) {
+    std::vector<double> truth(6);
+    for (double& v : truth) v = rng.Uniform(0.0, 100.0);
+    auto r = engine.Tick(truth);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (r->per_query[0].kind != QueryEngine::QueryEpochKind::kAudit) continue;
+    ++audits;
+    EXPECT_EQ(r->per_query[0].proven, 6) << "epoch " << t;
+    EXPECT_EQ(engine.manager(id).last_accuracy(), 1.0) << "epoch " << t;
+    EXPECT_EQ(engine.manager(id).explore_probability(),
+              spec.manager.base_explore_probability)
+        << "epoch " << t;
+  }
+  EXPECT_GE(audits, 20);
+}
+
+// --- Audit-plan memo -----------------------------------------------------
+
+int64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().counter(name)->value();
+}
+
+// The engine solves each audit's proof plan once per (k, budget, LP
+// options) and sample window. Oracle: every audit executes exactly the
+// plan a fresh ProofPlanner::Plan computes on that query's own window and
+// the tree, across explore epochs, a mid-run admit, a retire and a
+// watchdog heal; and the engine's solves and reuses follow that key, so
+// same-spec queries share one solve while a different k or budget factor
+// never rides on it.
+TEST(QueryEngineTest, AuditPlanMemoMatchesFreshProofPlans) {
+  World w(31, 30);
+  int victim = -1;  // a leaf, so the heal re-trees the survivors
+  for (int u = 0; u < w.topo.num_nodes() && victim < 0; ++u) {
+    if (u != w.topo.root() && w.topo.is_leaf(u)) victim = u;
+  }
+  ASSERT_GE(victim, 0);
+  constexpr int kAdmitEpoch = 14;
+  constexpr int kKillEpoch = 24;
+  constexpr int kRetireEpoch = 34;
+  constexpr int kEpochs = 48;
+  QueryEngineOptions opts;
+  opts.bootstrap_sweeps = 4;
+  opts.dead_after_epochs = 2;
+  opts.rebuild_radio_range = 26.0;
+  opts.faults.KillNode(kKillEpoch, victim);
+  QueryEngine engine(&w.topo, {}, {}, opts, 23);
+
+  // Greedy plans without LPs, so every LP solve in a tick is an audit's.
+  // Every query epoch audits every query, so the heal (its watchdog counts
+  // each audit's silent edges) lands in an epoch whose audits planned on
+  // the old tree.
+  QuerySpec shared;
+  shared.k = 4;
+  shared.energy_budget_mj = 8.0;
+  shared.planner = PlannerChoice::kGreedy;
+  shared.audit_every = 1;
+  shared.manager.base_explore_probability = 0.15;
+  QuerySpec other_k = shared;
+  other_k.k = 5;
+  QuerySpec other_factor = shared;
+  other_factor.audit_budget_factor = 1.3;
+  const std::pair<int, double> shared_key{shared.k,
+                                          shared.audit_budget_factor};
+  engine.AddQuery(shared);
+  const int twin = engine.AddQuery(shared);
+  engine.AddQuery(other_k);
+  engine.AddQuery(other_factor);
+  int late = -1;
+
+  // The memo's model: which query first planned each (k, factor) key
+  // since the windows last changed.
+  std::map<std::pair<int, double>, int> planned_by;
+  int checked = 0;
+  int checked_after_heal = 0;
+  int cross_query_reuses = 0;
+  int late_reuses = 0;
+  int distinct_solves_beside_shared = 0;
+  int heal_epoch_audits = 0;
+  Rng rng(24);
+  for (int t = 0; t < kEpochs; ++t) {
+    if (t == kAdmitEpoch) late = engine.AddQuery(shared);
+    if (t == kRetireEpoch) {
+      ASSERT_TRUE(engine.RemoveQuery(twin));
+    }
+    // Audits plan before the heal, on the windows and tree the tick
+    // starts from.
+    const net::Topology tree = engine.topology();
+    std::map<int, sampling::SampleSet> windows;
+    for (int id : engine.query_ids()) windows.emplace(id, engine.samples(id));
+    const bool healed_before = engine.rebuilds() > 0;
+
+    const int64_t solves_before = CounterValue("lp.solves");
+    const int64_t reuses_before = CounterValue("engine.audit_plan_reuses");
+    auto r = engine.Tick(w.field.Sample(&rng));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const int64_t tick_solves = CounterValue("lp.solves") - solves_before;
+    const int64_t tick_reuses =
+        CounterValue("engine.audit_plan_reuses") - reuses_before;
+
+    if (r->kind != QueryEngine::EpochKind::kQuery) planned_by.clear();
+    int64_t want_solves = 0;
+    int64_t want_reuses = 0;
+    for (const auto& qr : r->per_query) {
+      if (qr.kind != QueryEngine::QueryEpochKind::kAudit) continue;
+      const QuerySpec& spec = engine.spec(qr.query_id);
+      const PlannerContext ctx{&tree, {}, {}};
+      const int64_t oracle_before = CounterValue("lp.solves");
+      auto fresh = ProofPlanner(spec.lp).Plan(
+          ctx, windows.at(qr.query_id),
+          PlanRequest{spec.k, ProofPlanner::MinimumCost(ctx) *
+                                  spec.audit_budget_factor});
+      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      const std::pair<int, double> key{spec.k, spec.audit_budget_factor};
+      const auto [it, first] = planned_by.emplace(key, qr.query_id);
+      if (first) {
+        want_solves += CounterValue("lp.solves") - oracle_before;
+        if (key != shared_key && planned_by.count(shared_key)) {
+          ++distinct_solves_beside_shared;
+        }
+      } else {
+        ++want_reuses;
+        if (it->second != qr.query_id) ++cross_query_reuses;
+        if (qr.query_id == late && it->second != late) ++late_reuses;
+      }
+      if (r->rebuilt) {
+        // The memo holds nothing for the rebuilt tree.
+        EXPECT_EQ(engine.audit_plan(qr.query_id), nullptr) << "epoch " << t;
+        ++heal_epoch_audits;
+        continue;
+      }
+      const QueryPlan* executed = engine.audit_plan(qr.query_id);
+      ASSERT_NE(executed, nullptr) << "epoch " << t;
+      EXPECT_TRUE(*executed == *fresh)
+          << "query " << qr.query_id << " epoch " << t;
+      ++checked;
+      if (healed_before) ++checked_after_heal;
+    }
+    if (r->rebuilt) planned_by.clear();
+#ifndef PROSPECTOR_OBS_DISABLED
+    EXPECT_EQ(tick_solves, want_solves) << "epoch " << t;
+    EXPECT_EQ(tick_reuses, want_reuses) << "epoch " << t;
+#endif
+  }
+  EXPECT_EQ(engine.rebuilds(), 1);
+  EXPECT_GT(heal_epoch_audits, 0);
+  EXPECT_GE(checked, 40);
+  EXPECT_GT(checked_after_heal, 0);
+  EXPECT_GT(cross_query_reuses, 0);
+  EXPECT_GT(late_reuses, 0);
+  EXPECT_GT(distinct_solves_beside_shared, 0);
 }
 
 // --- Health monitor ------------------------------------------------------

@@ -1,7 +1,8 @@
 // FleetService: request/response lifecycle, typed quota rejections,
-// deterministic epoch scheduling (parallel == serial, bit-identical), and
-// tagged health rollups. The Parallel*/Fleet* cases run under TSan in the
-// sanitize CI arm.
+// deterministic epoch scheduling (parallel == serial, bit-identical, with
+// audited queries planning and reusing proof plans inside the parallel
+// batch), and tagged health rollups. The Parallel*/Fleet* cases run under
+// TSan in the sanitize CI arm.
 #include "src/service/fleet.h"
 
 #include <gtest/gtest.h>
@@ -193,6 +194,51 @@ TEST(FleetServiceTest, NonFiniteBudgetsAreInvalidSpecs) {
   EXPECT_EQ(fleet->deployment(0).num_queries(), 1);
 }
 
+TEST(FleetServiceTest, UnplannableAuditSpecsAreInvalidSpecs) {
+  FleetWorld world(4, 1, 20);
+  auto fleet = world.MakeFleet({});
+  const auto audited = [](double factor) {
+    AdmitQueryRequest req = MakeAdmit(0, 5);
+    req.spec.audit_every = 2;
+    req.spec.audit_budget_factor = factor;
+    return req;
+  };
+
+  // Below the proof floor, NaN or infinite: no proof plan can exist.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double factor : {0.5, 0.999, 0.0, -1.0, std::nan(""), inf, -inf}) {
+    const AdmitQueryResponse resp = fleet->Admit(audited(factor));
+    EXPECT_FALSE(resp.admitted) << factor;
+    EXPECT_EQ(resp.reject, AdmitReject::kInvalidSpec) << factor;
+  }
+  // Nothing was reserved or queued.
+  const FleetStatus status = fleet->Snapshot();
+  EXPECT_EQ(status.pending_requests, 0);
+  for (const TenantStatus& t : status.per_tenant) {
+    EXPECT_EQ(t.standing_queries, 0) << "tenant " << t.tenant_id;
+    EXPECT_EQ(t.admitted_budget_mj, 0.0) << "tenant " << t.tenant_id;
+  }
+
+  // The factor means nothing without audits, and exactly the floor (1.0)
+  // is plannable: both admit, and every epoch, audits included, succeeds.
+  AdmitQueryRequest unaudited = audited(std::nan(""));
+  unaudited.spec.audit_every = 0;
+  ASSERT_TRUE(fleet->Admit(unaudited).admitted);
+  const AdmitQueryResponse at_floor = fleet->Admit(audited(1.0));
+  ASSERT_TRUE(at_floor.admitted);
+  for (int e = 0; e < 12; ++e) {
+    auto report = fleet->RunEpoch();
+    ASSERT_TRUE(report.ok()) << "epoch " << e << ": "
+                             << report.status().ToString();
+  }
+  EXPECT_EQ(fleet->deployment(0).num_queries(), 2);
+  int audits = 0;
+  for (const AnswerRecord& a : fleet->Poll({at_floor.query_id, 0}).answers) {
+    if (a.kind == core::QueryEngine::QueryEpochKind::kAudit) ++audits;
+  }
+  EXPECT_GT(audits, 0);
+}
+
 TEST(FleetServiceTest, RetireOwnershipLifecycleAndQuotaRelease) {
   FleetWorld world(3, 1, 20);
   auto fleet = world.MakeFleet({});
@@ -259,15 +305,27 @@ TEST(FleetServiceTest, ParallelSchedulerBitIdenticalToSerial) {
 
   auto serial = world.MakeFleet(serial_options);
   auto parallel = world.MakeFleet(parallel_options);
-  std::vector<int> ids;
+  // Per deployment: two Greedy queries, and two audited LP-LF queries
+  // with one audit spec, so every engine's audit-plan memo is planned,
+  // reused and cleared inside the 4-thread batch.
+  std::vector<AdmitQueryRequest> requests;
   for (int d = 0; d < kDeployments; ++d) {
-    for (int q = 0; q < 2; ++q) {
-      const auto a = serial->Admit(MakeAdmit(d, q, 3 + q));
-      const auto b = parallel->Admit(MakeAdmit(d, q, 3 + q));
-      ASSERT_TRUE(a.admitted && b.admitted);
-      ASSERT_EQ(a.query_id, b.query_id);
-      ids.push_back(a.query_id);
+    for (int q = 0; q < 4; ++q) {
+      AdmitQueryRequest req = MakeAdmit(d, q, q < 2 ? 3 + q : 3);
+      if (q >= 2) {
+        req.spec.planner = core::PlannerChoice::kLpNoFilter;
+        req.spec.audit_every = 2;
+      }
+      requests.push_back(req);
     }
+  }
+  std::vector<int> ids;
+  for (const AdmitQueryRequest& req : requests) {
+    const auto a = serial->Admit(req);
+    const auto b = parallel->Admit(req);
+    ASSERT_TRUE(a.admitted && b.admitted);
+    ASSERT_EQ(a.query_id, b.query_id);
+    ids.push_back(a.query_id);
   }
   for (int e = 0; e < kEpochs; ++e) {
     auto ra = serial->RunEpoch();
@@ -277,6 +335,7 @@ TEST(FleetServiceTest, ParallelSchedulerBitIdenticalToSerial) {
   }
 
   // Scheduler output — every buffered answer — must match bit for bit.
+  int audits = 0;
   for (const int id : ids) {
     PollAnswersResponse a = serial->Poll({id, 0});
     PollAnswersResponse b = parallel->Poll({id, 0});
@@ -285,6 +344,7 @@ TEST(FleetServiceTest, ParallelSchedulerBitIdenticalToSerial) {
     for (size_t i = 0; i < a.answers.size(); ++i) {
       const AnswerRecord& x = a.answers[i];
       const AnswerRecord& y = b.answers[i];
+      if (x.kind == core::QueryEngine::QueryEpochKind::kAudit) ++audits;
       EXPECT_EQ(x.epoch, y.epoch);
       EXPECT_EQ(x.kind, y.kind);
       EXPECT_EQ(x.recall, y.recall);
@@ -297,6 +357,7 @@ TEST(FleetServiceTest, ParallelSchedulerBitIdenticalToSerial) {
       }
     }
   }
+  EXPECT_GT(audits, 0);
   const FleetStatus sa = serial->Snapshot();
   const FleetStatus sb = parallel->Snapshot();
   EXPECT_EQ(sa.total_energy_mj, sb.total_energy_mj);
