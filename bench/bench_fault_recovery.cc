@@ -1,7 +1,7 @@
 // Fault-recovery timeline (DESIGN.md, "Failure semantics"): a standing
-// top-k session loses an interior node mid-run. The recall series shows
+// top-k query loses an interior node mid-run. The recall series shows
 // the three acts — steady state, the dark window while the watchdog
-// accumulates evidence, and recovery once the session rebuilds the tree
+// accumulates evidence, and recovery once the engine rebuilds the tree
 // without the dead subtree and replans on the survivors. A second run
 // layers lossy transport on top to show graceful degradation instead of
 // protocol collapse.
@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/session.h"
+#include "src/core/query_engine.h"
 #include "src/data/gaussian_field.h"
 #include "src/obs/trace.h"
 
@@ -62,19 +62,21 @@ void RunTimeline(const char* title, net::LossyTransport lossy,
   field.set_node(topo.children(victim)[0], 90.0, 1.0);
   field.set_node(topo.children(victim)[1], 85.0, 1.0);
 
-  core::SessionOptions opt;
-  opt.k = kTop;
-  opt.energy_budget_mj = 60.0;
+  core::QueryEngineOptions opt;
   opt.sample_window = 20;
   opt.bootstrap_sweeps = kBootstrap;
-  opt.manager.base_explore_probability = 0.05;
   opt.dead_after_epochs = kDeadAfter;
   opt.rebuild_radio_range = kRange;
   opt.lossy = lossy;
   opt.faults.KillNode(kKillEpoch, victim);
+  core::QuerySpec spec;
+  spec.k = kTop;
+  spec.energy_budget_mj = 60.0;
+  spec.manager.base_explore_probability = 0.05;
 
-  core::TopKQuerySession session(&topo, net::EnergyModel{}, failures, opt,
-                                 /*seed=*/17);
+  core::QueryEngine engine(&topo, net::EnergyModel{}, failures, opt,
+                           /*seed=*/17);
+  engine.AddQuery(spec);
   std::vector<int> all(kNodes);
   for (int i = 0; i < kNodes; ++i) all[i] = i;
 
@@ -87,20 +89,19 @@ void RunTimeline(const char* title, net::LossyTransport lossy,
   RunningStats pre, dark, post;
   for (int e = 0; e < epochs; ++e) {
     const std::vector<double> truth = field.Sample(&truth_rng);
-    auto tick = session.Tick(truth);
+    auto tick = engine.Tick(truth);
     if (!tick.ok()) {
       std::fprintf(stderr, "tick %d: %s\n", e, tick.status().ToString().c_str());
       return;
     }
     if (tick->rebuilt && rebuild_epoch < 0) rebuild_epoch = e;
-    const bool answered = tick->kind != core::TopKQuerySession::TickResult::
-                                            Kind::kBootstrap &&
-                          tick->kind !=
-                              core::TopKQuerySession::TickResult::Kind::kExplore;
-    const double rf = answered ? Recall(tick->answer, truth, all, kTop) : -1.0;
+    const core::QueryEngine::QueryTickResult& q = tick->per_query[0];
+    const bool answered =
+        q.kind != core::QueryEngine::QueryEpochKind::kBootstrap &&
+        q.kind != core::QueryEngine::QueryEpochKind::kExplore;
+    const double rf = answered ? Recall(q.answer, truth, all, kTop) : -1.0;
     const double rs =
-        answered ? Recall(tick->answer, truth, session.original_ids(), kTop)
-                 : -1.0;
+        answered ? Recall(q.answer, truth, engine.original_ids(), kTop) : -1.0;
     if (answered) {
       if (e < kKillEpoch) {
         pre.Add(rf);
@@ -110,25 +111,25 @@ void RunTimeline(const char* title, net::LossyTransport lossy,
         post.Add(rs);
       }
     }
-    bench::PrintRow({static_cast<double>(e), rf, rs, tick->energy_mj,
-                     static_cast<double>(tick->values_lost),
-                     tick->degraded ? 1.0 : 0.0, tick->rebuilt ? 1.0 : 0.0});
-    json->Row({scenario_id, static_cast<double>(e), rf, rs, tick->energy_mj,
-               static_cast<double>(tick->values_lost),
-               tick->degraded ? 1.0 : 0.0, tick->rebuilt ? 1.0 : 0.0});
+    bench::PrintRow({static_cast<double>(e), rf, rs, q.energy_mj,
+                     static_cast<double>(q.values_lost),
+                     q.degraded ? 1.0 : 0.0, tick->rebuilt ? 1.0 : 0.0});
+    json->Row({scenario_id, static_cast<double>(e), rf, rs, q.energy_mj,
+               static_cast<double>(q.values_lost), q.degraded ? 1.0 : 0.0,
+               tick->rebuilt ? 1.0 : 0.0});
   }
   std::printf(
       "\nsteady recall %.3f -> dark-window recall %.3f -> post-rebuild "
       "recall (vs survivors) %.3f; rebuild at epoch %d (%d rebuild%s)\n",
       pre.mean(), dark.mean(), post.mean(), rebuild_epoch,
-      session.rebuilds(), session.rebuilds() == 1 ? "" : "s");
+      engine.rebuilds(), engine.rebuilds() == 1 ? "" : "s");
 }
 
 void Run() {
   const int epochs = bench::QueryEpochs(60);
   std::printf("Fault recovery timeline (n=%d, k=%d, kill@%d, watchdog=%d)\n",
               kNodes, kTop, kKillEpoch, kDeadAfter);
-  // Every span the sessions open below lands in TRACE_fault_recovery.json,
+  // Every span the engines open below lands in TRACE_fault_recovery.json,
   // loadable in chrome://tracing (or ui.perfetto.dev).
   obs::Tracer::Global().Enable();
   bench::BenchJson json("fault_recovery");

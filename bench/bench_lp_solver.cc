@@ -21,8 +21,10 @@
 namespace prospector {
 namespace {
 
-// Random dense-ish LP: max c'x, Ax <= b, 0 <= x <= 1.
-static void BM_SimplexRandomLp(benchmark::State& state) {
+// Random dense-ish LP: max c'x, Ax <= b, 0 <= x <= 1, on each engine:
+// the revised default and the dense test oracle.
+static void BM_SimplexRandomLp(benchmark::State& state,
+                               lp::SimplexAlgorithm engine) {
   const int n = static_cast<int>(state.range(0));
   const int m = n / 2;
   Rng rng(7);
@@ -38,13 +40,18 @@ static void BM_SimplexRandomLp(benchmark::State& state) {
       model.AddRow(lp::RowType::kLessEqual, rng.Uniform(1.0, 8.0), terms);
     }
   }
-  lp::SimplexSolver solver;
+  lp::SimplexOptions options;
+  options.algorithm = engine;
+  lp::SimplexSolver solver(options);
   for (auto _ : state) {
     auto sol = solver.Solve(model);
     benchmark::DoNotOptimize(sol);
   }
 }
-BENCHMARK(BM_SimplexRandomLp)->Arg(50)->Arg(100)->Arg(200)->Arg(400);
+BENCHMARK_CAPTURE(BM_SimplexRandomLp, revised, lp::SimplexAlgorithm::kRevised)
+    ->Arg(50)->Arg(100)->Arg(200)->Arg(400);
+BENCHMARK_CAPTURE(BM_SimplexRandomLp, dense, lp::SimplexAlgorithm::kDense)
+    ->Arg(50)->Arg(100)->Arg(200)->Arg(400);
 
 struct PlannerFixture {
   net::Topology topo;

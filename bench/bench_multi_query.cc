@@ -1,8 +1,7 @@
 // Multi-query engine bench: four co-resident top-k queries on one
 // core::QueryEngine (merged superplan, one trigger wave, one sweep feeding
-// every sample window) versus the same four queries as independent
-// TopKQuerySessions, on the Figure-3 deployment with identical truth
-// sequences.
+// every sample window) versus the same four queries each alone on its own
+// engine, on the Figure-3 deployment with identical truth sequences.
 //
 // Expected shape: the shared engine's total energy lands well below the
 // independent sum (the bench fails unless the saving is >= 25%), while
@@ -17,7 +16,6 @@
 #include "bench/bench_util.h"
 #include "src/core/plan_merge.h"
 #include "src/core/query_engine.h"
-#include "src/core/session.h"
 #include "src/data/gaussian_field.h"
 #include "src/net/topology.h"
 #include "src/obs/audit.h"
@@ -41,15 +39,6 @@ core::QuerySpec SpecFor(const QueryConfig& cfg) {
   spec.energy_budget_mj = cfg.budget_mj;
   spec.planner = cfg.planner;
   return spec;
-}
-
-core::SessionOptions SessionOptionsFor(const QueryConfig& cfg) {
-  core::SessionOptions opts;
-  opts.k = cfg.k;
-  opts.energy_budget_mj = cfg.budget_mj;
-  opts.planner = cfg.planner;
-  opts.bootstrap_sweeps = kBootstrap;
-  return opts;
 }
 
 struct RecallStats {
@@ -148,24 +137,26 @@ int Run() {
     return 1;
   }
 
-  // ---- Independent arm: four sessions, four radios, same truths. ----
+  // ---- Independent arm: four one-query engines, same truths. ----
   std::vector<RecallStats> solo(num_queries);
   double independent_total_mj = 0.0;
   std::vector<double> solo_total_mj(num_queries, 0.0);
   for (int q = 0; q < num_queries; ++q) {
-    core::TopKQuerySession session(&topo, {}, {}, SessionOptionsFor(configs[q]),
-                                   kSeed);
+    core::QueryEngine alone(&topo, {}, {}, eopts, kSeed);
+    alone.AddQuery(SpecFor(configs[q]));
     for (const std::vector<double>& truth : truths) {
-      auto r = session.Tick(truth);
+      auto r = alone.Tick(truth);
       if (!r.ok()) {
-        std::fprintf(stderr, "session tick failed: %s\n",
+        std::fprintf(stderr, "one-query engine tick failed: %s\n",
                      r.status().ToString().c_str());
         return 1;
       }
-      if (r->recall >= 0) solo[q].recall.Add(r->recall);
+      if (r->per_query[0].recall >= 0) {
+        solo[q].recall.Add(r->per_query[0].recall);
+      }
     }
-    solo_total_mj[q] = session.total_energy_mj();
-    independent_total_mj += session.total_energy_mj();
+    solo_total_mj[q] = alone.total_energy_mj();
+    independent_total_mj += alone.total_energy_mj();
   }
 
   const double shared_total_mj = engine.total_energy_mj();
@@ -208,7 +199,7 @@ int Run() {
   if (savings < 0.25) {
     std::fprintf(stderr,
                  "FAIL: shared engine saved only %.1f%% (< 25%%) vs "
-                 "independent sessions\n",
+                 "independent engines\n",
                  100.0 * savings);
     return 1;
   }

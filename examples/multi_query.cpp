@@ -6,8 +6,8 @@
 // bit-identical to running each plan alone, but far cheaper: sweeps,
 // triggers, and shared edges are paid once instead of once per query.
 //
-// Compare with examples/standing_query.cpp, the single-query facade
-// (TopKQuerySession is now a thin adapter over this engine).
+// Compare with examples/standing_query.cpp, which runs one standing query
+// on the same engine.
 //
 // Build & run:  ./build/examples/multi_query
 

@@ -1,15 +1,16 @@
-// The adoption-layer API: TopKQuerySession runs a standing top-k query
-// end-to-end — bootstrap sweeps, budgeted planning, windowed samples,
-// adaptive re-planning, and periodic proof-backed audits — behind a single
-// Tick() call per epoch. Compare with examples/lab_monitoring.cpp, which
-// wires the same machinery by hand.
+// A standing top-k query on core::QueryEngine: register one query, then
+// one Tick() per epoch runs it end-to-end — bootstrap sweeps, budgeted
+// planning, windowed samples, adaptive re-planning, and periodic
+// proof-backed audits. Compare with examples/lab_monitoring.cpp, which
+// wires the same machinery by hand, and examples/multi_query.cpp, which
+// registers several queries on one engine.
 //
 // Build & run:  ./build/examples/standing_query
 
 #include <cstdio>
 
 #include "src/core/executor.h"
-#include "src/core/session.h"
+#include "src/core/query_engine.h"
 #include "src/data/gaussian_field.h"
 #include "src/net/describe.h"
 #include "src/net/topology.h"
@@ -32,46 +33,49 @@ int main() {
   data::GaussianField field =
       data::GaussianField::Random(80, 40.0, 60.0, 1.0, 16.0, &rng);
 
-  core::SessionOptions opts;
-  opts.k = 8;
-  opts.energy_budget_mj = 12.0;
+  core::QueryEngineOptions opts;
   opts.bootstrap_sweeps = 6;
-  opts.audit_every = 25;  // a proof-backed exact query every 25 queries
-  core::TopKQuerySession session(&topo, net::EnergyModel{}, net::FailureModel{},
-                                 opts, /*seed=*/42);
+  core::QueryEngine engine(&topo, net::EnergyModel{}, net::FailureModel{},
+                           opts, /*seed=*/42);
+  core::QuerySpec spec;
+  spec.k = 8;
+  spec.energy_budget_mj = 12.0;
+  spec.audit_every = 25;  // a proof-backed exact query every 25 queries
+  engine.AddQuery(spec);
 
   double recall = 0.0;
   int queries = 0;
   for (int epoch = 0; epoch < 120; ++epoch) {
     const std::vector<double> truth = field.Sample(&rng);
-    auto tick = session.Tick(truth);
+    auto tick = engine.Tick(truth);
     if (!tick.ok()) {
       std::fprintf(stderr, "epoch %d: %s\n", epoch,
                    tick.status().ToString().c_str());
       return 1;
     }
-    using Kind = core::TopKQuerySession::TickResult::Kind;
-    switch (tick->kind) {
+    const core::QueryEngine::QueryTickResult& q = tick->per_query[0];
+    using Kind = core::QueryEngine::QueryEpochKind;
+    switch (q.kind) {
       case Kind::kBootstrap:
         break;
       case Kind::kExplore:
         std::printf("epoch %3d: exploration sweep (%.1f mJ)%s\n", epoch,
-                    tick->energy_mj, tick->replanned ? ", plan updated" : "");
+                    q.energy_mj, q.replanned ? ", plan updated" : "");
         break;
       case Kind::kAudit:
         std::printf("epoch %3d: audit — exact top-%d retrieved, %d/%d proven "
                     "up front (%.1f mJ)\n",
-                    epoch, opts.k, tick->proven, opts.k, tick->energy_mj);
+                    epoch, spec.k, q.proven, spec.k, q.energy_mj);
         break;
       case Kind::kQuery: {
         ++queries;
         std::vector<char> hit(80, 0);
-        for (const core::Reading& r : tick->answer) hit[r.node] = 1;
+        for (const core::Reading& r : q.answer) hit[r.node] = 1;
         int found = 0;
-        for (const core::Reading& r : core::TrueTopK(truth, opts.k)) {
+        for (const core::Reading& r : core::TrueTopK(truth, spec.k)) {
           found += hit[r.node];
         }
-        recall += static_cast<double>(found) / opts.k;
+        recall += static_cast<double>(found) / spec.k;
         break;
       }
     }
@@ -81,8 +85,8 @@ int main() {
               100.0 * recall / queries);
   std::printf("energy: %.1f mJ queries, %.1f mJ sampling, %.1f mJ audits, "
               "%.1f mJ installs (%.2f mJ per answered query all-in)\n",
-              session.query_energy_mj(), session.sampling_energy_mj(),
-              session.audit_energy_mj(), session.install_energy_mj(),
-              session.total_energy_mj() / queries);
+              engine.query_energy_mj(), engine.sampling_energy_mj(),
+              engine.audit_energy_mj(), engine.install_energy_mj(),
+              engine.total_energy_mj() / queries);
   return 0;
 }

@@ -23,7 +23,7 @@ struct ExactResult {
 
   /// Loss accounting under fault injection / lossy transport. The edge
   /// vectors come from phase 1 (where every node is expected to report),
-  /// so a Session audit can feed them to its watchdog; `degraded` and
+  /// so an engine audit can feed them to its watchdog; `degraded` and
   /// `values_lost` cover both phases.
   bool degraded = false;
   int values_lost = 0;

@@ -16,7 +16,7 @@ namespace core {
 /// Under fault injection or lossy transport the result is *partial* and
 /// says so: `degraded` flags any loss, `values_lost`/`messages_dropped`
 /// quantify it, and the per-node liveness vectors say which subtrees went
-/// dark — the observations the Session watchdog feeds on. A loss-free run
+/// dark — the observations the engine watchdog feeds on. A loss-free run
 /// leaves `degraded` false and every delivered flag equal to its expected
 /// flag.
 struct ExecutionResult {
@@ -103,7 +103,7 @@ class CollectionExecutor {
 double TopKRecall(const ExecutionResult& result,
                   const std::vector<double>& truth, int k);
 
-/// Same metric over a bare answer list (e.g. a session tick's translated
+/// Same metric over a bare answer list (e.g. an engine tick's translated
 /// answer); `answer` node ids must index into `truth`.
 double TopKRecall(const std::vector<Reading>& answer,
                   const std::vector<double>& truth, int k);

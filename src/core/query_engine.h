@@ -54,7 +54,7 @@ struct QueryEngineOptions {
 /// Multi-query top-k engine over one deployed network (see DESIGN.md,
 /// "Multi-query engine"). Layering:
 ///
-///   QueryRegistry  — admit/retire concurrent standing queries
+///   QueryRegistry  — admit/retire co-resident standing queries
 ///   plan merge     — per-epoch superplan over the installed plans
 ///   epoch driver   — Tick(): one shared sweep/trigger/collection wave
 ///   demux          — per-query answers, recall, proofs, energy shares
@@ -63,17 +63,16 @@ struct QueryEngineOptions {
 /// windows from a single charged sweep, query epochs execute one merged
 /// superplan whose per-edge messages carry the union of what the
 /// constituent plans want, and one watchdog/heal path maintains the tree
-/// for everyone. With a single registered query the engine is
-/// bit-identical to the historical single-query session: same RNG draws,
-/// same messages, same answers, same ledger.
+/// for everyone. A single standing query is an engine with one registered
+/// query: AddQuery once, Tick each epoch, and read the query's outcome
+/// from per_query[0] and the watchdog's from the epoch result.
 class QueryEngine {
  public:
   QueryEngine(const net::Topology* topology, net::EnergyModel energy,
               net::FailureModel failures, QueryEngineOptions options,
               uint64_t seed = 1);
 
-  /// What one epoch did for one query (mirrors the single-query session's
-  /// tick result).
+  /// What one epoch did for one query.
   enum class QueryEpochKind { kBootstrap, kExplore, kAudit, kQuery };
   struct QueryTickResult {
     int query_id = -1;

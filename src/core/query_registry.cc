@@ -1,6 +1,6 @@
 #include "src/core/query_registry.h"
 
-#include <algorithm>
+#include <string>
 
 #include "src/core/greedy_planner.h"
 #include "src/core/lp_filter_planner.h"
@@ -21,12 +21,6 @@ std::unique_ptr<Planner> MakePlanner(const QuerySpec& spec) {
   return std::make_unique<LpFilterPlanner>(spec.lp);
 }
 
-size_t RoundUpPowerOfTwo(int n) {
-  size_t p = 1;
-  while (static_cast<int>(p) < n) p <<= 1;
-  return p;
-}
-
 }  // namespace
 
 QueryState::QueryState(int id_in, const QuerySpec& spec_in, int num_nodes,
@@ -41,35 +35,10 @@ QueryState::QueryState(int id_in, const QuerySpec& spec_in, int num_nodes,
               spec_in.manager),
       health(spec_in.slo) {}
 
-QueryRegistry::QueryRegistry(int shards) {
-  const size_t n = RoundUpPowerOfTwo(std::max(shards, 1));
-  shards_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  mask_ = n - 1;
-}
-
-void QueryRegistry::RaiseNextId(int floor) {
-  int cur = next_id_.load(std::memory_order_relaxed);
-  while (cur < floor &&
-         !next_id_.compare_exchange_weak(cur, floor,
-                                         std::memory_order_acq_rel)) {
-  }
-}
-
 int QueryRegistry::Add(const QuerySpec& spec, int num_nodes,
                        size_t sample_window) {
-  const int id = next_id_.fetch_add(1, std::memory_order_acq_rel);
-  Shard& shard = ShardFor(id);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.used.insert(id);
-    shard.live.emplace(
-        id, std::make_unique<QueryState>(id, spec, num_nodes, sample_window));
-  }
-  count_.fetch_add(1, std::memory_order_acq_rel);
-  order_dirty_.store(true, std::memory_order_release);
+  const int id = burned_.empty() ? 0 : *burned_.rbegin() + 1;
+  Admit(id, spec, num_nodes, sample_window);
   return id;
 }
 
@@ -78,41 +47,32 @@ Result<int> QueryRegistry::AddWithId(int id, const QuerySpec& spec,
   if (id < 0) {
     return Status::InvalidArgument("query ids must be non-negative");
   }
-  Shard& shard = ShardFor(id);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (!shard.used.insert(id).second) {
-      return Status::FailedPrecondition(
-          "query id " + std::to_string(id) +
-          " was already admitted; ids are never reused");
-    }
-    shard.live.emplace(
-        id, std::make_unique<QueryState>(id, spec, num_nodes, sample_window));
+  if (burned_.count(id) != 0) {
+    return Status::FailedPrecondition(
+        "query id " + std::to_string(id) +
+        " was already admitted; ids are never reused");
   }
-  count_.fetch_add(1, std::memory_order_acq_rel);
-  RaiseNextId(id + 1);
-  order_dirty_.store(true, std::memory_order_release);
+  Admit(id, spec, num_nodes, sample_window);
   return id;
 }
 
+void QueryRegistry::Admit(int id, const QuerySpec& spec, int num_nodes,
+                          size_t sample_window) {
+  burned_.insert(id);
+  live_.emplace(
+      id, std::make_unique<QueryState>(id, spec, num_nodes, sample_window));
+  RebuildOrdered();
+}
+
 bool QueryRegistry::Remove(int id) {
-  if (id < 0) return false;
-  Shard& shard = ShardFor(id);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.live.erase(id) == 0) return false;
-  }
-  count_.fetch_sub(1, std::memory_order_acq_rel);
-  order_dirty_.store(true, std::memory_order_release);
+  if (live_.erase(id) == 0) return false;
+  RebuildOrdered();
   return true;
 }
 
 QueryState* QueryRegistry::Find(int id) {
-  if (id < 0) return nullptr;
-  Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.live.find(id);
-  return it == shard.live.end() ? nullptr : it->second.get();
+  auto it = live_.find(id);
+  return it == live_.end() ? nullptr : it->second.get();
 }
 
 const QueryState* QueryRegistry::Find(int id) const {
@@ -121,31 +81,14 @@ const QueryState* QueryRegistry::Find(int id) const {
 
 std::vector<int> QueryRegistry::ids() const {
   std::vector<int> out;
-  out.reserve(static_cast<size_t>(size()));
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [id, q] : shard->live) out.push_back(id);
-  }
-  std::sort(out.begin(), out.end());
+  out.reserve(live_.size());
+  for (const auto& [id, q] : live_) out.push_back(id);
   return out;
 }
 
-const std::vector<QueryState*>& QueryRegistry::ordered() const {
-  if (order_dirty_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(order_mu_);
-    order_.clear();
-    order_.reserve(static_cast<size_t>(size()));
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> shard_lock(shard->mu);
-      for (const auto& [id, q] : shard->live) order_.push_back(q.get());
-    }
-    std::sort(order_.begin(), order_.end(),
-              [](const QueryState* a, const QueryState* b) {
-                return a->id < b->id;
-              });
-    order_dirty_.store(false, std::memory_order_release);
-  }
-  return order_;
+void QueryRegistry::RebuildOrdered() {
+  ordered_.clear();
+  for (const auto& [id, q] : live_) ordered_.push_back(q.get());
 }
 
 }  // namespace core

@@ -1,11 +1,9 @@
 #ifndef PROSPECTOR_CORE_QUERY_REGISTRY_H_
 #define PROSPECTOR_CORE_QUERY_REGISTRY_H_
 
-#include <atomic>
+#include <map>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <unordered_set>
+#include <set>
 #include <vector>
 
 #include "src/core/health.h"
@@ -79,28 +77,19 @@ struct QueryState {
 /// The admission/retirement layer: owns the QueryStates and guarantees
 /// ids are never reused.
 ///
-/// The registry is sharded: a power-of-two shard count, shard(id) =
-/// id & mask, one mutex per shard. Admit/retire/find touch exactly one
-/// shard, so they are O(1) and safe from concurrent callers operating on
-/// distinct ids (e.g. a ParallelFor admitting a batch) — the workload the
-/// fleet service puts on it at thousands of standing queries.
-///
-/// Iteration order is ascending query id, never admission wall-clock
-/// order, so the engine's per-epoch walk is deterministic no matter which
-/// thread admitted which query. ordered() returns a cached snapshot that
-/// is rebuilt after any admit/retire; it must not be called concurrently
-/// with mutation (the engine only iterates from its serial tick path).
+/// Single-threaded: only the engine's AddQuery/AddQueryWithId/RemoveQuery
+/// mutate it, and the fleet service applies those serially at the epoch
+/// boundary. Iteration order is ascending query id, never admission
+/// order, so the engine's per-epoch walk is the same however the queries
+/// arrived.
 class QueryRegistry {
  public:
-  static constexpr int kDefaultShards = 16;
-
-  /// `shards` is rounded up to the next power of two, minimum 1.
-  explicit QueryRegistry(int shards = kDefaultShards);
-
+  QueryRegistry() = default;
   QueryRegistry(const QueryRegistry&) = delete;
   QueryRegistry& operator=(const QueryRegistry&) = delete;
 
-  /// Admits with a registry-allocated id (the next unused integer).
+  /// Admits with a registry-allocated id: one above the highest id ever
+  /// admitted, so it never collides with an externally supplied one.
   int Add(const QuerySpec& spec, int num_nodes, size_t sample_window);
 
   /// Admits under an externally supplied id — the fleet service owns
@@ -118,45 +107,23 @@ class QueryRegistry {
   QueryState* Find(int id);
   const QueryState* Find(int id) const;
 
-  int size() const { return count_.load(std::memory_order_acquire); }
+  int size() const { return static_cast<int>(live_.size()); }
   /// Live ids, ascending.
   std::vector<int> ids() const;
 
   /// Live queries in ascending-id order — the engine's iteration order.
-  /// The reference is valid until the next admit/retire. Not safe to call
-  /// concurrently with mutation.
-  const std::vector<QueryState*>& ordered() const;
-
-  int shard_count() const { return static_cast<int>(shards_.size()); }
-  /// High-water mark: no id >= this has ever been issued.
-  int next_id() const { return next_id_.load(std::memory_order_acquire); }
+  /// The reference is valid until the next admit/retire.
+  const std::vector<QueryState*>& ordered() const { return ordered_; }
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<int, std::unique_ptr<QueryState>> live;
-    /// Every id ever admitted to this shard (live or retired).
-    std::unordered_set<int> used;
-  };
+  void Admit(int id, const QuerySpec& spec, int num_nodes,
+             size_t sample_window);
+  void RebuildOrdered();
 
-  Shard& ShardFor(int id) {
-    return *shards_[static_cast<size_t>(id) & mask_];
-  }
-  const Shard& ShardFor(int id) const {
-    return *shards_[static_cast<size_t>(id) & mask_];
-  }
-  /// Raises next_id_ to at least `floor` (CAS max).
-  void RaiseNextId(int floor);
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  size_t mask_;
-  std::atomic<int> next_id_{0};
-  std::atomic<int> count_{0};
-
-  /// Ascending-id iteration snapshot, rebuilt lazily after mutation.
-  mutable std::mutex order_mu_;
-  mutable std::atomic<bool> order_dirty_{true};
-  mutable std::vector<QueryState*> order_;
+  std::map<int, std::unique_ptr<QueryState>> live_;
+  /// Every id ever admitted, live or retired.
+  std::set<int> burned_;
+  std::vector<QueryState*> ordered_;
 };
 
 }  // namespace core

@@ -1,10 +1,10 @@
-// Sparse revised simplex: kAuto's engine for planner LPs behind
-// SimplexSolver::Solve. It runs the same two-phase bounded-variable method
-// as the dense tableau (simplex.cc) — same equality form, same initial
-// basis, same Dantzig/Bland pricing, same ratio-test tie-breaking, same
-// stall detection — but carries the basis inverse as a product-form eta
-// file over CSC columns, so each pivot costs O(nnz) instead of
-// O(rows · cols). The factorization is rebuilt every
+// Sparse revised simplex: the default engine behind SimplexSolver::Solve,
+// and the one every planner LP runs on. It runs the same two-phase
+// bounded-variable method as the dense tableau (simplex.cc) — same
+// equality form, same initial basis, same Dantzig/Bland pricing, same
+// ratio-test tie-breaking, same stall detection — but carries the basis
+// inverse as a product-form eta file over CSC columns, so each pivot costs
+// O(nnz) instead of O(rows · cols). The factorization is rebuilt every
 // SimplexOptions::refactor_interval pivots (and before declaring
 // optimality), both for numerical hygiene and to shed eta fill-in; a
 // singular refactorization is a numerical breakdown and falls back to the

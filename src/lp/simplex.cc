@@ -285,11 +285,7 @@ using internal::RecordSolveMetrics;
 }  // namespace
 
 Result<Solution> SimplexSolver::Solve(const Model& model) const {
-  SimplexAlgorithm algo = options_.algorithm;
-  if (algo == SimplexAlgorithm::kAuto) {
-    algo = internal::ResolveAutoAlgorithm(model);
-  }
-  if (algo == SimplexAlgorithm::kDense) return SolveDense(model);
+  if (options_.algorithm == SimplexAlgorithm::kDense) return SolveDense(model);
   return SolveRevised(model);
 }
 

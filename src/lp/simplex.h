@@ -87,16 +87,10 @@ struct Solution {
 /// anti-cycling rules; they differ only in how the basis inverse is
 /// carried (sparse product-form factorization vs explicit dense tableau).
 enum class SimplexAlgorithm {
-  /// Pick per model (default): the dense tableau for small or dense
-  /// constraint matrices, where its vectorized row operations beat the
-  /// revised engine's indexed gathers, and the revised engine for the
-  /// large sparse programs the planners actually emit. The choice is a
-  /// pure function of the model, so pipelines stay deterministic.
-  kAuto,
-  /// Sparse revised simplex: O(nnz)-per-pivot, falls back to the dense
-  /// oracle on numerical breakdown.
+  /// Sparse revised simplex (default): O(nnz)-per-pivot; every planner LP
+  /// runs here.
   kRevised,
-  /// Dense tableau: the original always-available oracle.
+  /// Dense tableau: the test oracle, reached only when asked for.
   kDense,
 };
 
@@ -119,7 +113,7 @@ struct SimplexOptions {
   /// must stay runnable so a cross-check can always be taken.
   size_t max_tableau_bytes = size_t{2} * 1024 * 1024 * 1024;
   /// Engine for Solve() calls.
-  SimplexAlgorithm algorithm = SimplexAlgorithm::kAuto;
+  SimplexAlgorithm algorithm = SimplexAlgorithm::kRevised;
   /// Revised simplex: basis pivots between product-form refactorizations.
   /// The eta file is also rebuilt early when its fill-in outgrows the
   /// basis dimension (see revised_simplex.cc).
@@ -129,9 +123,9 @@ struct SimplexOptions {
 };
 
 /// Two-phase primal simplex with bounded variables, with two engines: a
-/// sparse revised simplex (kAuto's choice for planner LPs) and a dense
-/// tableau (kAuto's choice for tiny or dense models, and the oracle that
-/// tests and the -DPROSPECTOR_LP_CROSSCHECK=ON build check the revised
+/// sparse revised simplex (the default, and the only engine on the
+/// serving path) and a dense tableau (the oracle that tests, the test
+/// vectors and the -DPROSPECTOR_LP_CROSSCHECK=ON build check the revised
 /// engine against).
 ///
 /// Handles general models: {<=, >=, =} rows, variable bounds including
@@ -152,9 +146,7 @@ class SimplexSolver {
 
   /// Solves the model. Returns an error Status for malformed models;
   /// infeasible/unbounded outcomes are reported inside Solution.
-  /// Dispatches on options().algorithm: by default (kAuto) the engine is
-  /// chosen per model from its size and constraint-matrix density — a pure
-  /// function of the model, so repeated solves stay deterministic.
+  /// Runs SolveRevised, or SolveDense when options().algorithm is kDense.
   Result<Solution> Solve(const Model& model) const;
 
   /// The dense-tableau oracle, callable directly regardless of
@@ -166,7 +158,9 @@ class SimplexSolver {
   /// periodic refactorization, O(nnz)-per-pivot pricing and FTRAN/BTRAN,
   /// same pricing / bounded-variable ratio test / Bland anti-cycling rules
   /// as the dense engine. Numerical breakdown (a singular refactorization)
-  /// falls back to SolveDense, so the result is always well-defined.
+  /// falls back to SolveDense, so the result is always well-defined. That
+  /// fallback is error handling, not a second serving path: the
+  /// `lp.revised_fallbacks` counter reads 0 on every servebench workload.
   ///
   /// In a -DPROSPECTOR_LP_CROSSCHECK=ON build the model is additionally
   /// solved dense; the two runs must agree on status and objective (a

@@ -81,22 +81,6 @@ inline double ComputePrimalResidual(const Model& model,
   return std::max(resid, 0.0);
 }
 
-/// Resolves SimplexAlgorithm::kAuto for a concrete model. The dense
-/// tableau wins when its working set is small or the constraint matrix is
-/// dense enough that vectorized row sweeps beat indexed gathers; the
-/// planners' programs (well under 1% dense, thousands of rows) go to the
-/// revised engine. Depends only on the model, never on ambient state, so
-/// every component solving the same model picks the same engine.
-inline SimplexAlgorithm ResolveAutoAlgorithm(const Model& model) {
-  const size_t m = static_cast<size_t>(model.num_rows());
-  const size_t cells = m * (static_cast<size_t>(model.num_variables()) + m);
-  if (cells <= 4096) return SimplexAlgorithm::kDense;
-  size_t nnz = m;  // one slack per row
-  for (int i = 0; i < model.num_rows(); ++i) nnz += model.row(i).terms.size();
-  return nnz * 20 >= cells ? SimplexAlgorithm::kDense
-                           : SimplexAlgorithm::kRevised;
-}
-
 /// The dense-tableau size guard, applied to every solve regardless of
 /// algorithm: the dense oracle must stay runnable for cross-checks, so a
 /// model too big to dense-solve is refused up front instead of passing in

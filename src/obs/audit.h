@@ -8,7 +8,7 @@ namespace obs {
 
 /// Outcome of one energy ledger cross-check.
 struct EnergyAuditResult {
-  double claimed_mj = 0.0;   ///< what the executor/session accumulated
+  double claimed_mj = 0.0;   ///< what the executor/engine accumulated
   double measured_mj = 0.0;  ///< the simulator's independent ledger delta
   double divergence_mj = 0.0;
   bool ok = true;

@@ -10,12 +10,6 @@ namespace prospector {
 namespace service {
 namespace {
 
-size_t RoundUpPowerOfTwo(int n) {
-  size_t v = 1;
-  while (v < static_cast<size_t>(std::max(1, n))) v <<= 1;
-  return v;
-}
-
 /// Splitmix-style finalizer: decorrelates a deployment's truth stream
 /// from its engine stream without asking callers for two seeds.
 uint64_t TruthSeed(uint64_t seed) {
@@ -30,14 +24,7 @@ uint64_t TruthSeed(uint64_t seed) {
 FleetService::FleetService(FleetOptions options)
     : options_(options),
       pool_(std::max(1, options.scheduler_threads)),
-      quota_(options.default_quota) {
-  const size_t shards = RoundUpPowerOfTwo(options.index_shards);
-  index_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
-    index_.push_back(std::make_unique<IndexShard>());
-  }
-  index_mask_ = shards - 1;
-}
+      quota_(options.default_quota) {}
 
 void FleetService::SetTenantQuota(int tenant_id, TenantQuota quota) {
   quota_.SetQuota(tenant_id, quota);

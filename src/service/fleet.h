@@ -26,9 +26,6 @@ struct FleetOptions {
   /// this many workers each epoch. <= 1 ticks serially; either way the
   /// scheduler output is bit-identical (see DESIGN.md, "Fleet service").
   int scheduler_threads = 1;
-  /// Shards of the service's query index (query id -> record), rounded up
-  /// to a power of two.
-  int index_shards = 64;
   /// Buffered answers per query; on overflow the oldest drops and the
   /// next poll reports how many were lost.
   size_t answer_ring_capacity = 32;
@@ -69,6 +66,12 @@ struct FleetEpochReport {
 ///
 /// Query ids are allocated from a single fleet-wide counter and are never
 /// reused, on any deployment, ever (QueryRegistry burns retired ids).
+///
+/// Threading: Admit(), Retire() and Poll() may run on concurrent caller
+/// threads; they meet only at the request queue and the sharded query
+/// index. RunEpoch(), Snapshot() and HealthReport() must not overlap one
+/// another: Snapshot() reads engine epochs and energy totals without
+/// locks.
 class FleetService {
  public:
   /// Produces one epoch's ground-truth readings for a deployment. Each
@@ -160,11 +163,12 @@ class FleetService {
     int query_id = -1;
   };
 
+  /// Shards of the query index (query id -> record), so concurrent
+  /// Admit/Retire/Poll callers on different ids rarely share a lock.
+  static constexpr size_t kIndexShards = 64;
+
   IndexShard& ShardFor(int query_id) {
-    return *index_[static_cast<size_t>(query_id) & index_mask_];
-  }
-  const IndexShard& ShardFor(int query_id) const {
-    return *index_[static_cast<size_t>(query_id) & index_mask_];
+    return index_[static_cast<size_t>(query_id) % kIndexShards];
   }
   QueryRecord* FindRecord(int query_id);
   const QueryRecord* FindRecord(int query_id) const;
@@ -181,8 +185,7 @@ class FleetService {
   std::atomic<int> next_query_id_{0};
   std::atomic<long long> epoch_{0};
 
-  std::vector<std::unique_ptr<IndexShard>> index_;
-  size_t index_mask_ = 0;
+  std::array<IndexShard, kIndexShards> index_;
 
   mutable std::mutex queue_mu_;
   std::deque<PendingRequest> queue_;

@@ -478,10 +478,9 @@ Json LpFile() {
                         "anti-cycling required; optimum -0.05"));
   }
   {
-    // Sparse planner-shaped LP sized past the kAuto density/size cutoffs,
-    // so the default solve (and the stored certificate) comes from the
-    // revised engine: 48 bounded variables, 62 three-term coupling rows,
-    // one dense budget row. Coefficients are small deterministic integers.
+    // Sparse planner-shaped LP, the shape the revised engine serves: 48
+    // bounded variables, 62 three-term coupling rows, one dense budget
+    // row. Coefficients are small deterministic integers.
     lp::Model m;
     m.SetSense(lp::Sense::kMaximize);
     std::vector<int> xs;
@@ -502,7 +501,7 @@ Json LpFile() {
     }
     m.AddRow(lp::RowType::kLessEqual, 30, budget, "budget");
     cases.Append(LpCase("sparse_revised_dispatch", m,
-                        "kAuto routes this shape to the revised engine"));
+                        "planner-shaped sparse LP"));
   }
 
   doc.Set("cases", std::move(cases));

@@ -1,5 +1,5 @@
 // End-to-end robustness: scripted faults, degraded answers, and the
-// session watchdog's rebuild-remap-replan recovery loop. Everything here
+// engine watchdog's rebuild-remap-replan recovery loop. Everything here
 // is deterministic given the seeds.
 
 #include <gtest/gtest.h>
@@ -9,7 +9,7 @@
 
 #include "src/core/plan_eval.h"
 #include "src/core/proof_executor.h"
-#include "src/core/session.h"
+#include "src/core/query_engine.h"
 #include "src/data/gaussian_field.h"
 
 namespace prospector {
@@ -43,7 +43,7 @@ int PickVictim(const net::Topology& topo) {
 
 // Recall of `answer` against the top-k over the `eligible` (original-id)
 // node set — "eligible = everyone" is plain ground-truth recall;
-// "eligible = survivors" is what a healed session can still achieve.
+// "eligible = survivors" is what a healed engine can still achieve.
 double RecallAgainst(const std::vector<Reading>& answer,
                      const std::vector<double>& truth,
                      const std::vector<int>& eligible, int k) {
@@ -59,7 +59,7 @@ double RecallAgainst(const std::vector<Reading>& answer,
 }
 
 struct EpochLog {
-  TopKQuerySession::TickResult::Kind kind;
+  QueryEngine::QueryEpochKind kind;
   std::vector<Reading> answer;
   std::vector<double> truth;
   double energy = 0.0;
@@ -110,14 +110,9 @@ ScenarioRun RunScenario(bool transient_partition,
     run.hot.push_back(u);
   }
 
-  SessionOptions opt;
-  opt.k = kTop;
-  opt.energy_budget_mj = 100.0;  // generous: the plan can cover everything
+  QueryEngineOptions opt;
   opt.sample_window = 16;
   opt.bootstrap_sweeps = kBootstrap;
-  opt.planner = SessionOptions::PlannerChoice::kLpFilter;
-  opt.manager.base_explore_probability = 0.0;
-  opt.manager.boosted_explore_probability = 0.0;
   opt.dead_after_epochs = kDeadAfter;
   opt.rebuild_radio_range = kRange;
   opt.lossy = lossy;
@@ -128,27 +123,34 @@ ScenarioRun RunScenario(bool transient_partition,
   } else {
     opt.faults.KillNode(kKillEpoch, run.victim);
   }
+  QuerySpec spec;
+  spec.k = kTop;
+  spec.energy_budget_mj = 100.0;  // generous: the plan can cover everything
+  spec.planner = PlannerChoice::kLpFilter;
+  spec.manager.base_explore_probability = 0.0;
+  spec.manager.boosted_explore_probability = 0.0;
 
-  TopKQuerySession session(&topo, net::EnergyModel{}, failures, opt,
-                           /*seed=*/7);
+  QueryEngine engine(&topo, net::EnergyModel{}, failures, opt, /*seed=*/7);
+  engine.AddQuery(spec);
   Rng truth_rng(99);
   for (int e = 0; e < kEpochs; ++e) {
     EpochLog entry;
     entry.truth = field.Sample(&truth_rng);
-    auto tick = session.Tick(entry.truth);
+    auto tick = engine.Tick(entry.truth);
     EXPECT_TRUE(tick.ok()) << tick.status().ToString();
     if (!tick.ok()) break;
-    entry.kind = tick->kind;
-    entry.answer = tick->answer;
-    entry.energy = tick->energy_mj;
-    entry.degraded = tick->degraded;
-    entry.replanned = tick->replanned;
+    const QueryEngine::QueryTickResult& q = tick->per_query[0];
+    entry.kind = q.kind;
+    entry.answer = q.answer;
+    entry.energy = q.energy_mj;
+    entry.degraded = q.degraded;
+    entry.replanned = q.replanned;
     entry.rebuilt = tick->rebuilt;
     entry.removed = tick->removed_nodes;
     run.log.push_back(std::move(entry));
   }
-  run.rebuilds = session.rebuilds();
-  run.survivors = session.original_ids();
+  run.rebuilds = engine.rebuilds();
+  run.survivors = engine.original_ids();
   return run;
 }
 
@@ -165,7 +167,7 @@ TEST(FaultRecoveryTest, WatchdogRebuildsAfterKilledInteriorNode) {
 
   // Healthy steady state: perfect recall on query epochs before the kill.
   for (int e = kBootstrap; e < kKillEpoch; ++e) {
-    ASSERT_EQ(run.log[e].kind, TopKQuerySession::TickResult::Kind::kQuery);
+    ASSERT_EQ(run.log[e].kind, QueryEngine::QueryEpochKind::kQuery);
     EXPECT_FALSE(run.log[e].degraded) << "epoch " << e;
     EXPECT_DOUBLE_EQ(
         RecallAgainst(run.log[e].answer, run.log[e].truth, all, kTop), 1.0)
@@ -206,7 +208,7 @@ TEST(FaultRecoveryTest, WatchdogRebuildsAfterKilledInteriorNode) {
   // Recovery: against what the surviving network can still deliver,
   // recall returns to perfect and the degraded flag clears.
   for (int e = rebuild_epoch + 1; e < kEpochs; ++e) {
-    ASSERT_EQ(run.log[e].kind, TopKQuerySession::TickResult::Kind::kQuery);
+    ASSERT_EQ(run.log[e].kind, QueryEngine::QueryEpochKind::kQuery);
     EXPECT_FALSE(run.log[e].degraded) << "epoch " << e;
     EXPECT_DOUBLE_EQ(RecallAgainst(run.log[e].answer, run.log[e].truth,
                                    run.survivors, kTop),
@@ -279,9 +281,9 @@ TEST(FaultRecoveryTest, LossySessionDegradesGracefullyAndDeterministically) {
   bool any_degraded = false;
   for (const EpochLog& entry : a.log) any_degraded |= entry.degraded;
   EXPECT_TRUE(any_degraded);
-  // The session still answers every query epoch with a sane result.
+  // The engine still answers every query epoch with a sane result.
   for (const EpochLog& entry : a.log) {
-    if (entry.kind != TopKQuerySession::TickResult::Kind::kQuery) continue;
+    if (entry.kind != QueryEngine::QueryEpochKind::kQuery) continue;
     EXPECT_LE(static_cast<int>(entry.answer.size()), kTop);
     for (const Reading& r : entry.answer) {
       EXPECT_GE(r.node, 0);

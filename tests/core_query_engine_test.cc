@@ -159,6 +159,117 @@ TEST(QueryEngineTest, RejectsWrongTruthSize) {
   EXPECT_FALSE(engine.Tick({1.0, 2.0}).ok());
 }
 
+// One-query cases: a standing query is an engine with one registered
+// query, read through per_query[0].
+
+TEST(QueryEngineOneQueryTest, BootstrapsThenQueries) {
+  World w(2);
+  QueryEngineOptions opts;
+  opts.bootstrap_sweeps = 4;
+  QueryEngine engine(&w.topo, {}, {}, opts, 7);
+  QuerySpec spec;
+  spec.k = 5;
+  spec.energy_budget_mj = 10.0;
+  const int id = engine.AddQuery(spec);
+  Rng rng(3);
+
+  int bootstraps = 0, queries = 0;
+  for (int t = 0; t < 30; ++t) {
+    auto r = engine.Tick(w.field.Sample(&rng));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const QueryEngine::QueryTickResult& q = r->per_query[0];
+    if (q.kind == QueryEngine::QueryEpochKind::kBootstrap) {
+      ++bootstraps;
+      EXPECT_TRUE(q.answer.empty());
+    }
+    if (q.kind == QueryEngine::QueryEpochKind::kQuery) {
+      ++queries;
+      EXPECT_FALSE(q.answer.empty());
+      EXPECT_LE(static_cast<int>(q.answer.size()), spec.k);
+    }
+  }
+  EXPECT_EQ(bootstraps, 4);
+  EXPECT_GT(queries, 15);
+  EXPECT_TRUE(engine.has_plan(id));
+  EXPECT_GT(engine.sampling_energy_mj(), 0.0);
+  EXPECT_GT(engine.query_energy_mj(), 0.0);
+  EXPECT_GT(engine.install_energy_mj(), 0.0);
+  EXPECT_NEAR(engine.total_energy_mj(),
+              engine.sampling_energy_mj() + engine.query_energy_mj() +
+                  engine.install_energy_mj() + engine.audit_energy_mj(),
+              1e-9);
+}
+
+TEST(QueryEngineOneQueryTest, QueriesAreReasonablyAccurate) {
+  World w(5);
+  QueryEngine engine(&w.topo, {}, {}, QueryEngineOptions{}, 9);
+  QuerySpec spec;
+  spec.k = 5;
+  spec.energy_budget_mj = 15.0;
+  engine.AddQuery(spec);
+  Rng rng(10);
+  double recall = 0.0;
+  int queries = 0;
+  for (int t = 0; t < 60; ++t) {
+    const std::vector<double> truth = w.field.Sample(&rng);
+    auto r = engine.Tick(truth);
+    ASSERT_TRUE(r.ok());
+    const QueryEngine::QueryTickResult& q = r->per_query[0];
+    if (q.kind != QueryEngine::QueryEpochKind::kQuery) continue;
+    ++queries;
+    std::vector<char> in_answer(w.topo.num_nodes(), 0);
+    for (const Reading& x : q.answer) in_answer[x.node] = 1;
+    int hit = 0;
+    for (const Reading& x : TrueTopK(truth, spec.k)) hit += in_answer[x.node];
+    recall += static_cast<double>(hit) / spec.k;
+  }
+  ASSERT_GT(queries, 0);
+  EXPECT_GT(recall / queries, 0.7);
+}
+
+TEST(QueryEngineOneQueryTest, AuditEpochsAreExactAndDriveExploreRate) {
+  World w(6, 30);
+  QueryEngineOptions opts;
+  opts.bootstrap_sweeps = 5;
+  QueryEngine engine(&w.topo, {}, {}, opts, 11);
+  QuerySpec spec;
+  spec.k = 4;
+  spec.energy_budget_mj = 8.0;
+  spec.audit_every = 10;
+  engine.AddQuery(spec);
+  Rng rng(12);
+  int audits = 0;
+  for (int t = 0; t < 60; ++t) {
+    const std::vector<double> truth = w.field.Sample(&rng);
+    auto r = engine.Tick(truth);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const QueryEngine::QueryTickResult& q = r->per_query[0];
+    if (q.kind == QueryEngine::QueryEpochKind::kAudit) {
+      ++audits;
+      EXPECT_EQ(q.answer, TrueTopK(truth, spec.k)) << "audits must be exact";
+      EXPECT_GE(q.proven, 0);
+    }
+  }
+  EXPECT_GE(audits, 3);
+  EXPECT_GT(engine.audit_energy_mj(), 0.0);
+}
+
+TEST(QueryEngineOneQueryTest, GreedyPlannerChoiceWorks) {
+  World w(7, 30);
+  QueryEngine engine(&w.topo, {}, {}, QueryEngineOptions{}, 13);
+  QuerySpec spec;
+  spec.k = 3;
+  spec.energy_budget_mj = 6.0;
+  spec.planner = PlannerChoice::kGreedy;
+  const int id = engine.AddQuery(spec);
+  Rng rng(14);
+  for (int t = 0; t < 20; ++t) {
+    ASSERT_TRUE(engine.Tick(w.field.Sample(&rng)).ok());
+  }
+  EXPECT_TRUE(engine.has_plan(id));
+  EXPECT_EQ(engine.plan(id).kind, PlanKind::kNodeSelection);
+}
+
 TEST(QueryEngineTest, ZeroQueriesIdleTick) {
   World w(1);
   QueryEngine engine(&w.topo, {}, {}, QueryEngineOptions{});

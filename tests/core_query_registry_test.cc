@@ -1,15 +1,10 @@
-// Sharded QueryRegistry: O(1) admit/retire under concurrent callers,
-// ascending-id iteration, and the never-reuse id guarantee the fleet
-// service builds on. The Parallel* cases are exercised under TSan by the
-// sanitize CI arm (test-name regex includes "Shard").
+// QueryRegistry: ascending-id iteration and the never-reuse id guarantee
+// the fleet service builds on.
 #include "src/core/query_registry.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
-
-#include "src/util/thread_pool.h"
 
 namespace prospector {
 namespace core {
@@ -23,16 +18,7 @@ QuerySpec CheapSpec(int k = 3) {
   return spec;
 }
 
-TEST(QueryRegistryShardTest, ShardCountRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(QueryRegistry(1).shard_count(), 1);
-  EXPECT_EQ(QueryRegistry(2).shard_count(), 2);
-  EXPECT_EQ(QueryRegistry(3).shard_count(), 4);
-  EXPECT_EQ(QueryRegistry(16).shard_count(), 16);
-  EXPECT_EQ(QueryRegistry(17).shard_count(), 32);
-  EXPECT_EQ(QueryRegistry(0).shard_count(), 1);
-}
-
-TEST(QueryRegistryShardTest, AddFindRemoveBasics) {
+TEST(QueryRegistryTest, AddFindRemoveBasics) {
   QueryRegistry registry;
   const int a = registry.Add(CheapSpec(2), /*num_nodes=*/10,
                              /*sample_window=*/8);
@@ -51,7 +37,7 @@ TEST(QueryRegistryShardTest, AddFindRemoveBasics) {
   EXPECT_EQ(registry.ids(), std::vector<int>{b});
 }
 
-TEST(QueryRegistryShardTest, RetiredIdsAreBurnedForever) {
+TEST(QueryRegistryTest, RetiredIdsAreBurnedForever) {
   QueryRegistry registry;
   const int id = registry.Add(CheapSpec(), 10, 8);
   EXPECT_TRUE(registry.Remove(id));
@@ -61,7 +47,7 @@ TEST(QueryRegistryShardTest, RetiredIdsAreBurnedForever) {
   EXPECT_NE(next, id);
 }
 
-TEST(QueryRegistryShardTest, ExternalIdsMayArriveOutOfOrder) {
+TEST(QueryRegistryTest, ExternalIdsMayArriveOutOfOrder) {
   QueryRegistry registry;
   ASSERT_TRUE(registry.AddWithId(10, CheapSpec(), 10, 8).ok());
   ASSERT_TRUE(registry.AddWithId(3, CheapSpec(), 10, 8).ok());
@@ -72,8 +58,8 @@ TEST(QueryRegistryShardTest, ExternalIdsMayArriveOutOfOrder) {
   EXPECT_EQ(registry.ids(), (std::vector<int>{3, 10, 11}));
 }
 
-TEST(QueryRegistryShardTest, OrderedIsAscendingById) {
-  QueryRegistry registry(4);
+TEST(QueryRegistryTest, OrderedIsAscendingById) {
+  QueryRegistry registry;
   ASSERT_TRUE(registry.AddWithId(7, CheapSpec(7), 10, 8).ok());
   ASSERT_TRUE(registry.AddWithId(1, CheapSpec(1), 10, 8).ok());
   ASSERT_TRUE(registry.AddWithId(4, CheapSpec(4), 10, 8).ok());
@@ -82,81 +68,10 @@ TEST(QueryRegistryShardTest, OrderedIsAscendingById) {
   EXPECT_EQ(ordered[0]->id, 1);
   EXPECT_EQ(ordered[1]->id, 4);
   EXPECT_EQ(ordered[2]->id, 7);
-  // The snapshot tracks mutation.
+  // The order tracks mutation.
   registry.Remove(4);
   ASSERT_EQ(registry.ordered().size(), 2u);
   EXPECT_EQ(registry.ordered()[1]->id, 7);
-}
-
-TEST(QueryRegistryShardTest, ParallelAdmitIsDeterministicAndLeakFree) {
-  constexpr int kQueries = 256;
-  util::ThreadPool pool(4);
-  QueryRegistry registry;
-  std::vector<int> ok(kQueries, 0);
-  pool.ParallelFor(kQueries, [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      ok[i] = registry.AddWithId(i, CheapSpec(1 + i % 5), 10, 8).ok() ? 1 : 0;
-    }
-  });
-  EXPECT_EQ(std::count(ok.begin(), ok.end(), 1), kQueries);
-  EXPECT_EQ(registry.size(), kQueries);
-  const std::vector<int> ids = registry.ids();
-  ASSERT_EQ(ids.size(), static_cast<size_t>(kQueries));
-  for (int i = 0; i < kQueries; ++i) {
-    EXPECT_EQ(ids[static_cast<size_t>(i)], i);  // ascending, gap-free
-    ASSERT_NE(registry.Find(i), nullptr);
-    EXPECT_EQ(registry.Find(i)->spec.k, 1 + i % 5);
-  }
-  EXPECT_EQ(registry.next_id(), kQueries);
-}
-
-TEST(QueryRegistryShardTest, ParallelRetireThenReadmitNeverAliases) {
-  constexpr int kQueries = 128;
-  util::ThreadPool pool(4);
-  QueryRegistry registry;
-  pool.ParallelFor(kQueries, [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      ASSERT_TRUE(registry.AddWithId(i, CheapSpec(), 10, 8).ok());
-    }
-  });
-  // Concurrently retire the even ids...
-  pool.ParallelFor(kQueries / 2, [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      EXPECT_TRUE(registry.Remove(2 * i));
-    }
-  });
-  EXPECT_EQ(registry.size(), kQueries / 2);
-  // ...then try to re-admit them concurrently: every attempt must bounce.
-  std::vector<int> revived(kQueries / 2, 0);
-  pool.ParallelFor(kQueries / 2, [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      revived[i] = registry.AddWithId(2 * i, CheapSpec(), 10, 8).ok() ? 1 : 0;
-    }
-  });
-  EXPECT_EQ(std::count(revived.begin(), revived.end(), 1), 0);
-  const std::vector<int> ids = registry.ids();
-  ASSERT_EQ(ids.size(), static_cast<size_t>(kQueries / 2));
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(ids[i], static_cast<int>(2 * i + 1));  // odd survivors only
-  }
-}
-
-TEST(QueryRegistryShardTest, ParallelMixedChurnConvergesToSameState) {
-  // Two registries fed the same operations with different thread counts
-  // must converge to identical membership.
-  constexpr int kOps = 200;
-  auto run = [&](int threads) {
-    util::ThreadPool pool(threads);
-    QueryRegistry registry(8);
-    pool.ParallelFor(kOps, [&](int begin, int end) {
-      for (int i = begin; i < end; ++i) {
-        ASSERT_TRUE(registry.AddWithId(i, CheapSpec(), 10, 8).ok());
-        if (i % 3 == 0) EXPECT_TRUE(registry.Remove(i));
-      }
-    });
-    return registry.ids();
-  };
-  EXPECT_EQ(run(1), run(4));
 }
 
 }  // namespace

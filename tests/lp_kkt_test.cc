@@ -88,14 +88,22 @@ TEST_P(KktPropertyTest, EverySimplexOptimumCarriesAValidCertificate) {
   const int n = 3 + static_cast<int>(rng.UniformInt(uint64_t{12}));
   const int m = 2 + static_cast<int>(rng.UniformInt(uint64_t{10}));
   Model model = RandomModel(&rng, n, m, maximize);
-  SimplexSolver solver;
-  auto sol = solver.Solve(model);
-  ASSERT_TRUE(sol.ok());
-  if (sol->status != SolveStatus::kOptimal) {
-    GTEST_SKIP() << "instance " << ToString(sol->status);
+  // Both engines: the revised default and the dense oracle.
+  SimplexOptions dense_opts;
+  dense_opts.algorithm = SimplexAlgorithm::kDense;
+  auto revised = SimplexSolver().Solve(model);
+  auto dense = SimplexSolver(dense_opts).Solve(model);
+  ASSERT_TRUE(revised.ok());
+  ASSERT_TRUE(dense.ok());
+  ASSERT_EQ(revised->status, dense->status);
+  if (revised->status != SolveStatus::kOptimal) {
+    GTEST_SKIP() << "instance " << ToString(revised->status);
   }
-  const Status cert = VerifyKkt(model, *sol);
-  EXPECT_TRUE(cert.ok()) << "seed " << GetParam() << ": " << cert.ToString();
+  for (const Solution* sol : {&*revised, &*dense}) {
+    SCOPED_TRACE(sol == &*dense ? "dense" : "revised");
+    const Status cert = VerifyKkt(model, *sol);
+    EXPECT_TRUE(cert.ok()) << "seed " << GetParam() << ": " << cert.ToString();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KktPropertyTest, ::testing::Range(1, 60));

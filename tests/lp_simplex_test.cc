@@ -23,24 +23,41 @@ Solution MustSolve(const Model& model, SimplexOptions opts = {}) {
   return res.value();
 }
 
+// Solves `model` on the dense oracle and on the revised default, and runs
+// `check` on each solution. Small models need both: the serving path only
+// ever runs the revised engine, and the cross-check arm trusts the dense
+// one.
+template <typename Check>
+void ForEachEngine(const Model& model, Check check) {
+  for (const SimplexAlgorithm engine :
+       {SimplexAlgorithm::kDense, SimplexAlgorithm::kRevised}) {
+    SCOPED_TRACE(engine == SimplexAlgorithm::kDense ? "dense" : "revised");
+    SimplexOptions opts;
+    opts.algorithm = engine;
+    check(MustSolve(model, opts));
+  }
+}
+
 TEST(SimplexTest, TrivialUnconstrainedBounds) {
   // min x, 2 <= x <= 5  -> x = 2.
   Model m;
   int x = m.AddVariable(2.0, 5.0, 1.0, "x");
-  Solution s = MustSolve(m);
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(s.values[x], 2.0, 1e-9);
-  EXPECT_NEAR(s.objective, 2.0, 1e-9);
+  ForEachEngine(m, [&](const Solution& s) {
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(s.values[x], 2.0, 1e-9);
+    EXPECT_NEAR(s.objective, 2.0, 1e-9);
+  });
 }
 
 TEST(SimplexTest, MaximizeAtUpperBound) {
   Model m;
   m.SetSense(Sense::kMaximize);
   int x = m.AddVariable(0.0, 7.0, 3.0, "x");
-  Solution s = MustSolve(m);
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(s.values[x], 7.0, 1e-9);
-  EXPECT_NEAR(s.objective, 21.0, 1e-9);
+  ForEachEngine(m, [&](const Solution& s) {
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(s.values[x], 7.0, 1e-9);
+    EXPECT_NEAR(s.objective, 21.0, 1e-9);
+  });
 }
 
 TEST(SimplexTest, ClassicTwoVariableMax) {
@@ -53,11 +70,12 @@ TEST(SimplexTest, ClassicTwoVariableMax) {
   m.AddRow(RowType::kLessEqual, 4.0, {{x, 1.0}});
   m.AddRow(RowType::kLessEqual, 12.0, {{y, 2.0}});
   m.AddRow(RowType::kLessEqual, 18.0, {{x, 3.0}, {y, 2.0}});
-  Solution s = MustSolve(m);
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(s.objective, 36.0, 1e-8);
-  EXPECT_NEAR(s.values[x], 2.0, 1e-8);
-  EXPECT_NEAR(s.values[y], 6.0, 1e-8);
+  ForEachEngine(m, [&](const Solution& s) {
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(s.objective, 36.0, 1e-8);
+    EXPECT_NEAR(s.values[x], 2.0, 1e-8);
+    EXPECT_NEAR(s.values[y], 6.0, 1e-8);
+  });
 }
 
 TEST(SimplexTest, EqualityRowRequiresPhase1) {
@@ -67,14 +85,15 @@ TEST(SimplexTest, EqualityRowRequiresPhase1) {
   int x = m.AddVariable(0.0, 4.0, 1.0, "x");
   int y = m.AddVariable(0.0, kInfinity, 1.0, "y");
   m.AddRow(RowType::kEqual, 10.0, {{x, 1.0}, {y, 1.0}});
-  Solution s = MustSolve(m);
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(s.objective, 10.0, 1e-8);
-  EXPECT_NEAR(s.values[x] + s.values[y], 10.0, 1e-8);
-  EXPECT_GT(s.stats.total_iterations(), 0);
-  EXPECT_GT(s.stats.artificials, 0);
-  EXPECT_EQ(s.stats.rows, 1);
-  EXPECT_EQ(s.stats.columns, 2);
+  ForEachEngine(m, [&](const Solution& s) {
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(s.objective, 10.0, 1e-8);
+    EXPECT_NEAR(s.values[x] + s.values[y], 10.0, 1e-8);
+    EXPECT_GT(s.stats.total_iterations(), 0);
+    EXPECT_GT(s.stats.artificials, 0);
+    EXPECT_EQ(s.stats.rows, 1);
+    EXPECT_EQ(s.stats.columns, 2);
+  });
 }
 
 TEST(SimplexTest, GreaterEqualRows) {
@@ -86,19 +105,21 @@ TEST(SimplexTest, GreaterEqualRows) {
   int y = m.AddVariable(0.0, kInfinity, 3.0, "y");
   m.AddRow(RowType::kGreaterEqual, 10.0, {{x, 1.0}, {y, 1.0}});
   m.AddRow(RowType::kGreaterEqual, -5.0, {{x, 1.0}, {y, -1.0}});
-  Solution s = MustSolve(m);
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(s.objective, 20.0, 1e-8);
-  EXPECT_NEAR(s.values[x], 10.0, 1e-8);
-  EXPECT_NEAR(s.values[y], 0.0, 1e-8);
+  ForEachEngine(m, [&](const Solution& s) {
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(s.objective, 20.0, 1e-8);
+    EXPECT_NEAR(s.values[x], 10.0, 1e-8);
+    EXPECT_NEAR(s.values[y], 0.0, 1e-8);
+  });
 }
 
 TEST(SimplexTest, DetectsInfeasible) {
   Model m;
   int x = m.AddVariable(0.0, 1.0, 1.0, "x");
   m.AddRow(RowType::kGreaterEqual, 5.0, {{x, 1.0}});
-  Solution s = MustSolve(m);
-  EXPECT_EQ(s.status, SolveStatus::kInfeasible);
+  ForEachEngine(m, [&](const Solution& s) {
+    EXPECT_EQ(s.status, SolveStatus::kInfeasible);
+  });
 }
 
 TEST(SimplexTest, DetectsInfeasibleConflictingRows) {
@@ -107,8 +128,9 @@ TEST(SimplexTest, DetectsInfeasibleConflictingRows) {
   int y = m.AddVariable(0.0, kInfinity, 1.0, "y");
   m.AddRow(RowType::kLessEqual, 1.0, {{x, 1.0}, {y, 1.0}});
   m.AddRow(RowType::kGreaterEqual, 3.0, {{x, 1.0}, {y, 1.0}});
-  Solution s = MustSolve(m);
-  EXPECT_EQ(s.status, SolveStatus::kInfeasible);
+  ForEachEngine(m, [&](const Solution& s) {
+    EXPECT_EQ(s.status, SolveStatus::kInfeasible);
+  });
 }
 
 TEST(SimplexTest, DetectsUnbounded) {
@@ -117,8 +139,9 @@ TEST(SimplexTest, DetectsUnbounded) {
   int x = m.AddVariable(0.0, kInfinity, 1.0, "x");
   int y = m.AddVariable(0.0, kInfinity, 0.0, "y");
   m.AddRow(RowType::kLessEqual, 4.0, {{x, 1.0}, {y, -1.0}});
-  Solution s = MustSolve(m);
-  EXPECT_EQ(s.status, SolveStatus::kUnbounded);
+  ForEachEngine(m, [&](const Solution& s) {
+    EXPECT_EQ(s.status, SolveStatus::kUnbounded);
+  });
 }
 
 TEST(SimplexTest, FreeVariable) {
@@ -126,9 +149,10 @@ TEST(SimplexTest, FreeVariable) {
   Model m;
   int x = m.AddVariable(-kInfinity, kInfinity, 1.0, "x");
   m.AddRow(RowType::kGreaterEqual, -3.0, {{x, 1.0}});
-  Solution s = MustSolve(m);
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(s.values[x], -3.0, 1e-8);
+  ForEachEngine(m, [&](const Solution& s) {
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(s.values[x], -3.0, 1e-8);
+  });
 }
 
 TEST(SimplexTest, FixedVariableContributes) {
@@ -137,9 +161,10 @@ TEST(SimplexTest, FixedVariableContributes) {
   int x = m.AddVariable(2.0, 2.0, 0.0, "x");
   int y = m.AddVariable(0.0, kInfinity, 1.0, "y");
   m.AddRow(RowType::kGreaterEqual, 5.0, {{x, 1.0}, {y, 1.0}});
-  Solution s = MustSolve(m);
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(s.values[y], 3.0, 1e-8);
+  ForEachEngine(m, [&](const Solution& s) {
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(s.values[y], 3.0, 1e-8);
+  });
 }
 
 TEST(SimplexTest, NegativeRhsLessEqual) {
@@ -148,9 +173,10 @@ TEST(SimplexTest, NegativeRhsLessEqual) {
   int x = m.AddVariable(0.0, 10.0, 1.0, "x");
   int y = m.AddVariable(0.0, 10.0, 1.0, "y");
   m.AddRow(RowType::kLessEqual, -4.0, {{x, -1.0}, {y, -1.0}});
-  Solution s = MustSolve(m);
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(s.objective, 4.0, 1e-8);
+  ForEachEngine(m, [&](const Solution& s) {
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(s.objective, 4.0, 1e-8);
+  });
 }
 
 TEST(SimplexTest, DuplicateTermsAreSummed) {
@@ -159,9 +185,10 @@ TEST(SimplexTest, DuplicateTermsAreSummed) {
   m.SetSense(Sense::kMaximize);
   int x = m.AddVariable(0.0, kInfinity, 1.0, "x");
   m.AddRow(RowType::kLessEqual, 3.0, {{x, 0.5}, {x, 0.5}});
-  Solution s = MustSolve(m);
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(s.values[x], 3.0, 1e-8);
+  ForEachEngine(m, [&](const Solution& s) {
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(s.values[x], 3.0, 1e-8);
+  });
 }
 
 // Beale's classic cycling example: every basic feasible solution of the
@@ -182,18 +209,40 @@ Model BealeCyclingModel() {
 }
 
 TEST(SimplexTest, DegenerateProblemTerminates) {
-  // The Bland fallback must guarantee termination (default kAuto dispatch).
-  Solution s = MustSolve(BealeCyclingModel());
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(s.objective, -0.05, 1e-8);
+  // The Bland fallback must guarantee termination on either engine.
+  ForEachEngine(BealeCyclingModel(), [&](const Solution& s) {
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(s.objective, -0.05, 1e-8);
+  });
+}
+
+TEST(SimplexTest, DefaultSolverRunsTheRevisedEngine) {
+  // max x + y s.t. x + 2y <= 4, 3x + y <= 6 -> x=1.6, y=1.2, obj=2.8. Even
+  // a two-row model runs on the revised engine unless kDense is asked for.
+  Model m;
+  m.SetSense(Sense::kMaximize);
+  int x = m.AddVariable(0.0, kInfinity, 1.0, "x");
+  int y = m.AddVariable(0.0, kInfinity, 1.0, "y");
+  m.AddRow(RowType::kLessEqual, 4.0, {{x, 1.0}, {y, 2.0}});
+  m.AddRow(RowType::kLessEqual, 6.0, {{x, 3.0}, {y, 1.0}});
+  SimplexSolver solver;
+  auto s = solver.Solve(m);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  ASSERT_EQ(s->status, SolveStatus::kOptimal);
+  EXPECT_NEAR(s->objective, 2.8, 1e-9);
+#ifdef PROSPECTOR_LP_CROSSCHECK
+  // This build returns the dense oracle's solution from SolveRevised.
+  EXPECT_EQ(s->stats.refactorizations, 0);
+#else
+  EXPECT_GE(s->stats.refactorizations, 1);
+#endif
 }
 
 TEST(SimplexTest, DegenerateCyclingModelTerminatesUnderBothEngines) {
-  // Both engines, forced explicitly (the model is small enough that kAuto
-  // would send it to the dense tableau), with a stall threshold low enough
-  // that the Bland fallback engages within a few degenerate pivots, and a
-  // refactorization interval small enough that the revised engine rebuilds
-  // its eta file mid-solve. Both must terminate at the same optimum.
+  // Both engines, with a stall threshold low enough that the Bland
+  // fallback engages within a few degenerate pivots, and a refactorization
+  // interval small enough that the revised engine rebuilds its eta file
+  // mid-solve. Both must terminate at the same optimum.
   const Model m = BealeCyclingModel();
   SimplexOptions dense_opts;
   dense_opts.algorithm = SimplexAlgorithm::kDense;
@@ -561,10 +610,11 @@ TEST(SimplexTest, SolutionIsFeasibleAndResidualSmall) {
       m.AddRow(RowType::kLessEqual, rng.Uniform(1.0, 5.0), terms);
     }
   }
-  Solution s = MustSolve(m);
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(m.IsFeasible(s.values, 1e-6));
-  EXPECT_LT(s.primal_residual, 1e-6);
+  ForEachEngine(m, [&](const Solution& s) {
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_TRUE(m.IsFeasible(s.values, 1e-6));
+    EXPECT_LT(s.primal_residual, 1e-6);
+  });
 }
 
 // -------- Property sweep: random knapsack-like LPs vs brute force. --------

@@ -1,6 +1,6 @@
 // Observability layer: metric determinism under the planner thread pool,
 // trace span nesting, the energy ledger audit (including an injected
-// discrepancy), and the telemetry surfaced through planners and sessions.
+// discrepancy), and the telemetry surfaced through planners and engines.
 
 #include "src/obs/obs.h"
 
@@ -13,7 +13,7 @@
 
 #include "src/core/executor.h"
 #include "src/core/lp_filter_planner.h"
-#include "src/core/session.h"
+#include "src/core/query_engine.h"
 #include "src/obs/openmetrics.h"
 #include "src/data/gaussian_field.h"
 #include "src/util/rng.h"
@@ -269,7 +269,7 @@ TEST(ObsAuditTest, ExecutorLedgersAgreeOnCollectionScenario) {
 }
 
 // ---------------------------------------------------------------------------
-// Surfaced telemetry: SolveStats, per-edge ledger, session tick fields
+// Surfaced telemetry: SolveStats, per-edge ledger, engine tick fields
 // ---------------------------------------------------------------------------
 
 TEST(ObsStatsTest, SolveStatsSurfaceThroughPlanner) {
@@ -488,28 +488,31 @@ TEST(ObsSessionTest, TickSurfacesRecallAndReplanLatency) {
   auto topo = net::BuildConnectedGeometricNetwork(geo, &rng).value();
   auto field = data::GaussianField::Random(50, 40, 60, 1, 9, &rng);
 
-  core::SessionOptions opts;
-  opts.k = 5;
-  opts.energy_budget_mj = 10.0;
+  core::QueryEngineOptions opts;
   opts.bootstrap_sweeps = 4;
-  opts.audit_every = 5;
-  core::TopKQuerySession session(&topo, {}, {}, opts, 23);
+  core::QueryEngine engine(&topo, {}, {}, opts, 23);
+  core::QuerySpec spec;
+  spec.k = 5;
+  spec.energy_budget_mj = 10.0;
+  spec.audit_every = 5;
+  engine.AddQuery(spec);
 
   int scored_epochs = 0;
   for (int t = 0; t < 30; ++t) {
-    auto r = session.Tick(field.Sample(&rng));
+    auto r = engine.Tick(field.Sample(&rng));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    using Kind = core::TopKQuerySession::TickResult::Kind;
-    if (r->kind == Kind::kQuery || r->kind == Kind::kAudit) {
-      EXPECT_GE(r->recall, 0.0);
-      EXPECT_LE(r->recall, 1.0);
+    const core::QueryEngine::QueryTickResult& q = r->per_query[0];
+    using Kind = core::QueryEngine::QueryEpochKind;
+    if (q.kind == Kind::kQuery || q.kind == Kind::kAudit) {
+      EXPECT_GE(q.recall, 0.0);
+      EXPECT_LE(q.recall, 1.0);
       ++scored_epochs;
     } else {
-      EXPECT_LT(r->recall, 0.0);  // no answer, no recall
+      EXPECT_LT(q.recall, 0.0);  // no answer, no recall
     }
-    EXPECT_GE(r->replan_latency_ms, 0.0);
-    if (!r->replanned) {
-      EXPECT_DOUBLE_EQ(r->replan_latency_ms, 0.0);
+    EXPECT_GE(q.replan_latency_ms, 0.0);
+    if (!q.replanned) {
+      EXPECT_DOUBLE_EQ(q.replan_latency_ms, 0.0);
     }
   }
   EXPECT_GT(scored_epochs, 15);
