@@ -13,8 +13,10 @@
 #include "src/core/plan.h"
 #include "src/core/planner.h"
 #include "src/net/simulator.h"
+#include "src/util/json.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
+#include "src/util/status.h"
 
 namespace prospector {
 namespace bench {
@@ -151,54 +153,37 @@ class BenchJson {
 
   /// Returns false (with a note on stderr) when the file cannot be written.
   bool Write() const {
-    const std::string path = "BENCH_" + name_ + ".json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return false;
-    }
-    std::fprintf(f, "{\n  \"schema_version\": %d,\n", kSchemaVersion);
-    std::fprintf(f, "  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(seed_));
-    std::fprintf(f, "  \"config_fingerprint\": \"%016llx\",\n",
-                 static_cast<unsigned long long>(Fingerprint()));
-    std::fprintf(f, "  \"meta\": {");
-    for (size_t i = 0; i < meta_.size(); ++i) {
-      std::fprintf(f, "%s\"%s\": %.6g", i == 0 ? "" : ", ",
-                   meta_[i].first.c_str(), meta_[i].second);
-    }
-    std::fprintf(f, "}");
-    if (!host_.empty()) {
-      std::fprintf(f, ",\n  \"host\": {");
-      for (size_t i = 0; i < host_.size(); ++i) {
-        std::fprintf(f, "%s\"%s\": %.6g", i == 0 ? "" : ", ",
-                     host_[i].first.c_str(), host_[i].second);
-      }
-      std::fprintf(f, "}");
-    }
+    util::Json doc = util::Json::Object();
+    doc.Set("schema_version", kSchemaVersion);
+    doc.Set("seed", seed_);
+    char fingerprint[17];
+    std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
+                  static_cast<unsigned long long>(Fingerprint()));
+    doc.Set("config_fingerprint", fingerprint);
+    doc.Set("meta", Members(meta_));
+    if (!host_.empty()) doc.Set("host", Members(host_));
     size_t total_rows = rows_.size();
     if (tables_.empty()) {
-      std::fprintf(f, ",\n  \"columns\": [");
-      WriteStrings(f, columns_);
-      std::fprintf(f, "],\n  \"rows\": [\n");
-      WriteRows(f, rows_, "    ");
-      std::fprintf(f, "  ]");
+      doc.Set("columns", Strings(columns_));
+      doc.Set("rows", Rows(rows_));
     } else {
-      std::fprintf(f, ",\n  \"tables\": [\n");
-      for (size_t t = 0; t < tables_.size(); ++t) {
-        const Table& table = tables_[t];
+      util::Json tables = util::Json::Array();
+      for (const Table& table : tables_) {
         total_rows += table.rows.size();
-        std::fprintf(f, "    {\"title\": \"%s\", \"columns\": [",
-                     table.title.c_str());
-        WriteStrings(f, table.columns);
-        std::fprintf(f, "], \"rows\": [\n");
-        WriteRows(f, table.rows, "      ");
-        std::fprintf(f, "    ]}%s\n", t + 1 < tables_.size() ? "," : "");
+        util::Json t = util::Json::Object();
+        t.Set("title", table.title);
+        t.Set("columns", Strings(table.columns));
+        t.Set("rows", Rows(table.rows));
+        tables.Append(std::move(t));
       }
-      std::fprintf(f, "  ]");
+      doc.Set("tables", std::move(tables));
     }
-    std::fprintf(f, "\n}\n");
-    std::fclose(f);
+    const std::string path = "BENCH_" + name_ + ".json";
+    if (const Status st = util::WriteFile(path, doc.Dump(2) + "\n");
+        !st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return false;
+    }
     std::printf("\nwrote %s (%zu rows)\n", path.c_str(), total_rows);
     return true;
   }
@@ -239,21 +224,25 @@ class BenchJson {
     return h;
   }
 
-  static void WriteStrings(std::FILE* f, const std::vector<std::string>& v) {
-    for (size_t i = 0; i < v.size(); ++i) {
-      std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ", v[i].c_str());
-    }
+  static util::Json Members(
+      const std::vector<std::pair<std::string, double>>& pairs) {
+    util::Json out = util::Json::Object();
+    for (const auto& [key, value] : pairs) out.Set(key, value);
+    return out;
   }
-  static void WriteRows(std::FILE* f,
-                        const std::vector<std::vector<double>>& rows,
-                        const char* indent) {
-    for (size_t r = 0; r < rows.size(); ++r) {
-      std::fprintf(f, "%s[", indent);
-      for (size_t i = 0; i < rows[r].size(); ++i) {
-        std::fprintf(f, "%s%.6g", i == 0 ? "" : ", ", rows[r][i]);
-      }
-      std::fprintf(f, "]%s\n", r + 1 < rows.size() ? "," : "");
+  static util::Json Strings(const std::vector<std::string>& v) {
+    util::Json out = util::Json::Array();
+    for (const std::string& s : v) out.Append(s);
+    return out;
+  }
+  static util::Json Rows(const std::vector<std::vector<double>>& rows) {
+    util::Json out = util::Json::Array();
+    for (const std::vector<double>& row : rows) {
+      util::Json r = util::Json::Array();
+      for (const double v : row) r.Append(v);
+      out.Append(std::move(r));
     }
+    return out;
   }
 
   std::string name_;

@@ -1,19 +1,18 @@
 #include "src/core/health.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <numeric>
+
+#include "src/obs/openmetrics.h"
+#include "src/util/json.h"
 
 namespace prospector {
 namespace core {
 namespace {
 
-std::string FormatDouble(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
+using obs::AppendFamily;
+using obs::FormatDouble;
 
 double WindowMean(const std::deque<double>& window, double empty_value) {
   if (window.empty()) return empty_value;
@@ -172,25 +171,44 @@ std::vector<HealthRollup> RollupBy(const std::vector<QueryHealth>& report,
   return out;
 }
 
-std::string RollupJson(const std::vector<HealthRollup>& rollups) {
-  std::string out = "[";
-  bool first = true;
+util::Json RollupJson(const std::vector<HealthRollup>& rollups) {
+  util::Json out = util::Json::Array();
   for (const HealthRollup& r : rollups) {
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"id\": " + std::to_string(r.id);
-    out += ", \"queries\": " + std::to_string(r.queries);
-    out += ", \"unknown\": " + std::to_string(r.unknown);
-    out += ", \"healthy\": " + std::to_string(r.healthy);
-    out += ", \"degraded\": " + std::to_string(r.degraded);
-    out += ", \"unhealthy\": " + std::to_string(r.unhealthy);
-    out += ", \"mean_recall\": " + FormatDouble(r.mean_recall);
-    out += ", \"energy_mj\": " + FormatDouble(r.energy_mj);
-    out += ", \"max_consecutive_breaches\": " +
-           std::to_string(r.max_consecutive_breaches);
-    out += "}";
+    util::Json j = util::Json::Object();
+    j.Set("id", r.id);
+    j.Set("queries", r.queries);
+    j.Set("unknown", r.unknown);
+    j.Set("healthy", r.healthy);
+    j.Set("degraded", r.degraded);
+    j.Set("unhealthy", r.unhealthy);
+    j.Set("mean_recall", r.mean_recall);
+    j.Set("energy_mj", r.energy_mj);
+    j.Set("max_consecutive_breaches", r.max_consecutive_breaches);
+    out.Append(std::move(j));
   }
-  out += "]";
+  return out;
+}
+
+util::Json QueryHealthJson(const std::vector<QueryHealth>& report) {
+  util::Json out = util::Json::Array();
+  for (const QueryHealth& q : report) {
+    util::Json j = util::Json::Object();
+    j.Set("query", q.query_id);
+    j.Set("deployment", q.deployment_id);
+    j.Set("tenant", q.tenant_id);
+    j.Set("status", HealthStatusName(q.status));
+    j.Set("scored_epochs", q.scored_epochs);
+    j.Set("consecutive_breaches", q.consecutive_breaches);
+    j.Set("last_recall", q.last_recall);
+    j.Set("mean_recall", q.mean_recall);
+    j.Set("mean_energy_mj", q.mean_energy_mj);
+    j.Set("mean_replan_latency_ms", q.mean_replan_latency_ms);
+    j.Set("mean_guard_rejects", q.mean_guard_rejects);
+    j.Set("predicted_recall", q.predicted_recall);
+    j.Set("recall_residual", q.recall_residual);
+    j.Set("breached", q.breached);
+    out.Append(std::move(j));
+  }
   return out;
 }
 
@@ -210,30 +228,27 @@ std::string HealthRollupOpenMetricsBody(
     const char* label, const std::vector<HealthRollup>& rollups) {
   std::string out;
   const std::string prefix = std::string("prospector_") + label + "_";
-  auto family = [&](const char* name) {
-    out += "# TYPE " + prefix + name + " gauge\n";
-  };
   auto series = [&](const char* name, int id, const std::string& v) {
     out += prefix + name + "{" + label + "=\"" + std::to_string(id) +
            "\"} " + v + "\n";
   };
-  family("queries");
+  AppendFamily(&out, prefix + "queries", "gauge");
   for (const HealthRollup& r : rollups) {
     series("queries", r.id, std::to_string(r.queries));
   }
-  family("degraded");
+  AppendFamily(&out, prefix + "degraded", "gauge");
   for (const HealthRollup& r : rollups) {
     series("degraded", r.id, std::to_string(r.degraded));
   }
-  family("unhealthy");
+  AppendFamily(&out, prefix + "unhealthy", "gauge");
   for (const HealthRollup& r : rollups) {
     series("unhealthy", r.id, std::to_string(r.unhealthy));
   }
-  family("recall");
+  AppendFamily(&out, prefix + "recall", "gauge");
   for (const HealthRollup& r : rollups) {
     series("recall", r.id, FormatDouble(r.mean_recall));
   }
-  family("energy_mj");
+  AppendFamily(&out, prefix + "energy_mj", "gauge");
   for (const HealthRollup& r : rollups) {
     series("energy_mj", r.id, FormatDouble(r.energy_mj));
   }
@@ -241,49 +256,42 @@ std::string HealthRollupOpenMetricsBody(
 }
 
 std::string FleetHealthJson(const std::vector<QueryHealth>& report) {
-  std::string out = "{\"queries\": " + HealthReportJson(report);
-  out += ", \"tenants\": " + RollupJson(RollupByTenant(report));
-  out += ", \"deployments\": " + RollupJson(RollupByDeployment(report));
-  out += "}";
-  return out;
+  util::Json out = util::Json::Object();
+  out.Set("queries", QueryHealthJson(report));
+  out.Set("tenants", RollupJson(RollupByTenant(report)));
+  out.Set("deployments", RollupJson(RollupByDeployment(report)));
+  return out.Dump(-1);
 }
 
 std::string HealthOpenMetricsBody(const std::vector<QueryHealth>& report) {
   std::string out;
-  auto family = [&out](const char* name, const char* type) {
-    out += "# TYPE prospector_query_";
-    out += name;
-    out += " ";
-    out += type;
-    out += "\n";
-  };
   auto series = [&out](const char* name, const QueryHealth& q,
                        const std::string& v) {
     out += "prospector_query_";
     out += name;
     out += QueryLabels(q) + " " + v + "\n";
   };
-  family("health", "gauge");
+  AppendFamily(&out, "prospector_query_health", "gauge");
   for (const QueryHealth& q : report) {
     series("health", q, std::to_string(static_cast<int>(q.status)));
   }
-  family("recall", "gauge");
+  AppendFamily(&out, "prospector_query_recall", "gauge");
   for (const QueryHealth& q : report) {
     series("recall", q, FormatDouble(q.mean_recall));
   }
-  family("energy_mj", "gauge");
+  AppendFamily(&out, "prospector_query_energy_mj", "gauge");
   for (const QueryHealth& q : report) {
     series("energy_mj", q, FormatDouble(q.mean_energy_mj));
   }
-  family("guard_rejects", "gauge");
+  AppendFamily(&out, "prospector_query_guard_rejects", "gauge");
   for (const QueryHealth& q : report) {
     series("guard_rejects", q, FormatDouble(q.mean_guard_rejects));
   }
-  family("recall_residual", "gauge");
+  AppendFamily(&out, "prospector_query_recall_residual", "gauge");
   for (const QueryHealth& q : report) {
     series("recall_residual", q, FormatDouble(q.recall_residual));
   }
-  family("consecutive_breaches", "gauge");
+  AppendFamily(&out, "prospector_query_consecutive_breaches", "gauge");
   for (const QueryHealth& q : report) {
     series("consecutive_breaches", q,
            std::to_string(q.consecutive_breaches));
@@ -292,31 +300,7 @@ std::string HealthOpenMetricsBody(const std::vector<QueryHealth>& report) {
 }
 
 std::string HealthReportJson(const std::vector<QueryHealth>& report) {
-  std::string out = "[";
-  bool first = true;
-  for (const QueryHealth& q : report) {
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"query\": " + std::to_string(q.query_id);
-    out += ", \"deployment\": " + std::to_string(q.deployment_id);
-    out += ", \"tenant\": " + std::to_string(q.tenant_id);
-    out += ", \"status\": \"";
-    out += HealthStatusName(q.status);
-    out += "\", \"scored_epochs\": " + std::to_string(q.scored_epochs);
-    out += ", \"consecutive_breaches\": " +
-           std::to_string(q.consecutive_breaches);
-    out += ", \"last_recall\": " + FormatDouble(q.last_recall);
-    out += ", \"mean_recall\": " + FormatDouble(q.mean_recall);
-    out += ", \"mean_energy_mj\": " + FormatDouble(q.mean_energy_mj);
-    out += ", \"mean_replan_latency_ms\": " +
-           FormatDouble(q.mean_replan_latency_ms);
-    out += ", \"mean_guard_rejects\": " + FormatDouble(q.mean_guard_rejects);
-    out += ", \"predicted_recall\": " + FormatDouble(q.predicted_recall);
-    out += ", \"recall_residual\": " + FormatDouble(q.recall_residual);
-    out += ", \"breached\": \"" + q.breached + "\"}";
-  }
-  out += "]";
-  return out;
+  return QueryHealthJson(report).Dump(-1);
 }
 
 }  // namespace core

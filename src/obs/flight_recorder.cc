@@ -10,12 +10,6 @@ namespace {
 
 thread_local FlightRecorder::ThreadBuffer* tl_flight_buffer = nullptr;
 
-std::string FormatDouble(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 }  // namespace
 
 const char* FlightKindName(FlightKind kind) {
@@ -130,47 +124,44 @@ void FlightRecorder::SetCapacity(size_t per_thread_events) {
 }
 
 std::string FlightRecorder::DumpJson() const {
-  const std::vector<FlightEvent> events = Snapshot();
-  std::string out = "{\"schema_version\": 1";
-  out += ", \"dropped\": " + std::to_string(dropped());
-  out +=
-      ", \"columns\": [\"epoch\", \"site\", \"kind\", \"seq\", \"query\", "
-      "\"a\", \"b\"]";
-  out += ", \"events\": [";
-  bool first = true;
-  for (const FlightEvent& ev : events) {
-    if (!first) out += ", ";
-    first = false;
-    out += "[" + std::to_string(ev.epoch);
-    out += ", \"";
-    out += ev.site;
-    out += "\", \"";
-    out += FlightKindName(ev.kind);
-    out += "\", " + std::to_string(ev.seq);
-    out += ", " + std::to_string(ev.query_id);
-    out += ", " + FormatDouble(ev.a);
-    out += ", " + FormatDouble(ev.b);
-    out += "]";
-  }
-  out += "]}";
-  return out;
+  // A local: a range-for over a temporary's members() would dangle.
+  const util::Json timeline = FlightTimelineJson(Snapshot());
+  util::Json out = util::Json::Object();
+  out.Set("schema_version", 1);
+  out.Set("dropped", dropped());
+  for (const auto& [key, value] : timeline.members()) out.Set(key, value);
+  return out.Dump(-1);
 }
 
 bool FlightRecorder::DumpToFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "flight recorder: cannot open %s for writing\n",
-                 path.c_str());
-    return false;
+  const Status st = util::WriteFile(path, DumpJson() + "\n");
+  if (!st.ok()) {
+    std::fprintf(stderr, "flight recorder: %s\n", st.ToString().c_str());
   }
-  const std::string json = DumpJson();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size() &&
-                  std::fputc('\n', f) != EOF;
-  std::fclose(f);
-  if (!ok) {
-    std::fprintf(stderr, "flight recorder: short write to %s\n", path.c_str());
+  return st.ok();
+}
+
+util::Json FlightTimelineJson(const std::vector<FlightEvent>& events) {
+  util::Json columns = util::Json::Array();
+  for (const char* c : {"epoch", "site", "kind", "seq", "query", "a", "b"}) {
+    columns.Append(c);
   }
-  return ok;
+  util::Json rows = util::Json::Array();
+  for (const FlightEvent& ev : events) {
+    util::Json row = util::Json::Array();
+    row.Append(ev.epoch);
+    row.Append(ev.site);
+    row.Append(FlightKindName(ev.kind));
+    row.Append(ev.seq);
+    row.Append(ev.query_id);
+    row.Append(ev.a);
+    row.Append(ev.b);
+    rows.Append(std::move(row));
+  }
+  util::Json out = util::Json::Object();
+  out.Set("columns", std::move(columns));
+  out.Set("events", std::move(rows));
+  return out;
 }
 
 }  // namespace obs

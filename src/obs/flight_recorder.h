@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "src/util/json.h"
+
 namespace prospector {
 namespace obs {
 
@@ -85,8 +87,8 @@ class FlightRecorder {
   /// Applies to events recorded after the call; existing rings are trimmed.
   void SetCapacity(size_t per_thread_events);
 
-  /// Deterministic JSON dump of Snapshot(): {"schema_version", "dropped",
-  /// "columns", "events": [[epoch, site, kind, seq, query, a, b], ...]}.
+  /// Deterministic one-line JSON dump of Snapshot(): {"schema_version",
+  /// "dropped"} followed by FlightTimelineJson()'s "columns" and "events".
   std::string DumpJson() const;
   /// DumpJson() to a file (trailing newline added). False + stderr note on
   /// IO failure.
@@ -108,6 +110,12 @@ class FlightRecorder {
   std::atomic<int> epoch_{-1};
   std::atomic<size_t> capacity_{kDefaultCapacity};
 };
+
+/// Columnar JSON for a merged flight timeline: {"columns": ["epoch",
+/// "site", "kind", "seq", "query", "a", "b"], "events": [[...], ...]}, one
+/// row per event in the given order. Chaos artifacts embed this object and
+/// replay compares it byte for byte, so it is byte-stable across replays.
+util::Json FlightTimelineJson(const std::vector<FlightEvent>& events);
 
 }  // namespace obs
 }  // namespace prospector

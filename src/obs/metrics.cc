@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "src/obs/flight_recorder.h"
 #include "src/obs/trace.h"
+#include "src/util/json.h"
 
 namespace prospector {
 namespace obs {
@@ -15,18 +15,6 @@ int BucketFor(double v) {
   if (!(v > 1.0)) return 0;  // <= 1, zero, negative, NaN
   const int b = static_cast<int>(std::ceil(std::log2(v)));
   return std::min(b, Histogram::kNumBuckets - 1);
-}
-
-void AppendJsonKey(std::string* out, const std::string& name) {
-  out->push_back('"');
-  out->append(name);  // metric names are plain dotted identifiers
-  out->append("\": ");
-}
-
-std::string FormatDouble(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
 }
 
 }  // namespace
@@ -70,36 +58,24 @@ void Histogram::Reset() {
 }
 
 std::string MetricsSnapshot::ToJson() const {
-  std::string out = "{\"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    if (!first) out += ", ";
-    first = false;
-    AppendJsonKey(&out, name);
-    out += std::to_string(value);
-  }
-  out += "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    if (!first) out += ", ";
-    first = false;
-    AppendJsonKey(&out, name);
-    out += FormatDouble(value);
-  }
-  out += "}, \"histograms\": {";
-  first = true;
+  util::Json counters_json = util::Json::Object();
+  for (const auto& [name, value] : counters) counters_json.Set(name, value);
+  util::Json gauges_json = util::Json::Object();
+  for (const auto& [name, value] : gauges) gauges_json.Set(name, value);
+  util::Json histograms_json = util::Json::Object();
   for (const auto& [name, h] : histograms) {
-    if (!first) out += ", ";
-    first = false;
-    AppendJsonKey(&out, name);
-    out += "{\"count\": " + std::to_string(h.count);
-    out += ", \"sum\": " + FormatDouble(h.sum);
-    out += ", \"min\": " + FormatDouble(h.count > 0 ? h.min : 0.0);
-    out += ", \"max\": " + FormatDouble(h.count > 0 ? h.max : 0.0);
-    out += "}";
+    util::Json entry = util::Json::Object();
+    entry.Set("count", h.count);
+    entry.Set("sum", h.sum);
+    entry.Set("min", h.count > 0 ? h.min : 0.0);
+    entry.Set("max", h.count > 0 ? h.max : 0.0);
+    histograms_json.Set(name, std::move(entry));
   }
-  out += "}}";
-  return out;
+  util::Json out = util::Json::Object();
+  out.Set("counters", std::move(counters_json));
+  out.Set("gauges", std::move(gauges_json));
+  out.Set("histograms", std::move(histograms_json));
+  return out.Dump(-1);
 }
 
 MetricsRegistry& MetricsRegistry::Global() {

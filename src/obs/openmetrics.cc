@@ -7,15 +7,17 @@ namespace prospector {
 namespace obs {
 namespace {
 
+bool NameChar(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '_';
+}
+
+}  // namespace
+
 std::string FormatDouble(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   return buf;
-}
-
-bool NameChar(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c == '_';
 }
 
 void AppendFamily(std::string* out, const std::string& name,
@@ -26,8 +28,6 @@ void AppendFamily(std::string* out, const std::string& name,
   out->append(type);
   out->push_back('\n');
 }
-
-}  // namespace
 
 std::string OpenMetricsName(const std::string& dotted) {
   std::string out = "prospector_";

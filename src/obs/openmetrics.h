@@ -13,6 +13,14 @@ namespace obs {
 /// Any character outside [a-zA-Z0-9_] becomes '_'.
 std::string OpenMetricsName(const std::string& dotted);
 
+/// Spells a sample value the way every exposition in this repo does
+/// ("%.9g"), so equal values render byte-identically across families.
+std::string FormatDouble(double v);
+
+/// Appends a family's "# TYPE <name> <type>" line.
+void AppendFamily(std::string* out, const std::string& name,
+                  const char* type);
+
 /// Renders a snapshot as OpenMetrics text WITHOUT the trailing "# EOF"
 /// terminator, so callers can append more metric families (e.g. the
 /// per-query health series) before closing the exposition. Counters

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "src/util/json.h"
+
 namespace prospector {
 namespace obs {
 namespace {
@@ -61,26 +63,23 @@ std::vector<TraceEvent> Tracer::Drain() {
 }
 
 bool Tracer::WriteChromeTrace(const std::string& path) {
-  const std::vector<TraceEvent> events = Drain();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
+  util::Json trace_events = util::Json::Array();
+  for (const TraceEvent& e : Drain()) {
+    util::Json event = util::Json::Object();
+    event.Set("name", e.name);
+    event.Set("cat", e.category);
+    event.Set("ph", "X");
+    event.Set("pid", 1);
+    event.Set("tid", e.tid);
+    event.Set("ts", e.ts_us);
+    event.Set("dur", e.dur_us);
+    trace_events.Append(std::move(event));
   }
-  std::fprintf(f, "{\"traceEvents\": [\n");
-  for (size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
-    std::fprintf(f,
-                 "  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", "
-                 "\"pid\": 1, \"tid\": %d, \"ts\": %lld, \"dur\": %lld}%s\n",
-                 e.name, e.category, e.tid,
-                 static_cast<long long>(e.ts_us),
-                 static_cast<long long>(e.dur_us),
-                 i + 1 < events.size() ? "," : "");
-  }
-  std::fprintf(f, "]}\n");
-  std::fclose(f);
-  return true;
+  util::Json out = util::Json::Object();
+  out.Set("traceEvents", std::move(trace_events));
+  const Status st = util::WriteFile(path, out.Dump(-1) + "\n");
+  if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
+  return st.ok();
 }
 
 ScopedSpan::ScopedSpan(const char* name, const char* category)

@@ -1,18 +1,9 @@
 #include "src/service/api.h"
 
-#include <cstdio>
+#include "src/util/json.h"
 
 namespace prospector {
 namespace service {
-namespace {
-
-std::string FormatDouble(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-}  // namespace
 
 const char* AdmitRejectName(AdmitReject reject) {
   switch (reject) {
@@ -33,52 +24,47 @@ const char* AdmitRejectName(AdmitReject reject) {
 }
 
 std::string FleetStatusJson(const FleetStatus& s) {
-  std::string out = "{";
-  out += "\"epoch\": " + std::to_string(s.epoch);
-  out += ", \"deployments\": " + std::to_string(s.deployments);
-  out += ", \"standing_queries\": " + std::to_string(s.standing_queries);
-  out += ", \"pending_requests\": " + std::to_string(s.pending_requests);
-  out += ", \"admits\": " + std::to_string(s.admits);
-  out += ", \"retires\": " + std::to_string(s.retires);
-  out += ", \"rejects\": " + std::to_string(s.rejects);
-  out += ", \"rejects_by_kind\": {";
-  bool first = true;
+  util::Json rejects_by_kind = util::Json::Object();
   for (int i = 0; i < kAdmitRejectKinds; ++i) {
     if (i == static_cast<int>(AdmitReject::kNone)) continue;
-    if (!first) out += ", ";
-    first = false;
-    out += std::string("\"") + AdmitRejectName(static_cast<AdmitReject>(i)) +
-           "\": " + std::to_string(s.rejects_by_kind[static_cast<size_t>(i)]);
+    rejects_by_kind.Set(AdmitRejectName(static_cast<AdmitReject>(i)),
+                        s.rejects_by_kind[static_cast<size_t>(i)]);
   }
-  out += "}";
-  out += ", \"total_energy_mj\": " + FormatDouble(s.total_energy_mj);
-  out += ", \"per_deployment\": [";
-  first = true;
+  util::Json per_deployment = util::Json::Array();
   for (const DeploymentStatus& d : s.per_deployment) {
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"deployment\": " + std::to_string(d.deployment_id);
-    out += ", \"nodes\": " + std::to_string(d.num_nodes);
-    out += ", \"standing_queries\": " + std::to_string(d.standing_queries);
-    out += ", \"epoch\": " + std::to_string(d.epoch);
-    out += ", \"rebuilds\": " + std::to_string(d.rebuilds);
-    out += ", \"total_energy_mj\": " + FormatDouble(d.total_energy_mj) + "}";
+    util::Json j = util::Json::Object();
+    j.Set("deployment", d.deployment_id);
+    j.Set("nodes", d.num_nodes);
+    j.Set("standing_queries", d.standing_queries);
+    j.Set("epoch", d.epoch);
+    j.Set("rebuilds", d.rebuilds);
+    j.Set("total_energy_mj", d.total_energy_mj);
+    per_deployment.Append(std::move(j));
   }
-  out += "], \"per_tenant\": [";
-  first = true;
+  util::Json per_tenant = util::Json::Array();
   for (const TenantStatus& t : s.per_tenant) {
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"tenant\": " + std::to_string(t.tenant_id);
-    out += ", \"standing_queries\": " + std::to_string(t.standing_queries);
-    out += ", \"admitted_budget_mj\": " + FormatDouble(t.admitted_budget_mj);
-    out += ", \"admits\": " + std::to_string(t.admits);
-    out += ", \"rejects\": " + std::to_string(t.rejects);
-    out += ", \"attributed_energy_mj\": " +
-           FormatDouble(t.attributed_energy_mj) + "}";
+    util::Json j = util::Json::Object();
+    j.Set("tenant", t.tenant_id);
+    j.Set("standing_queries", t.standing_queries);
+    j.Set("admitted_budget_mj", t.admitted_budget_mj);
+    j.Set("admits", t.admits);
+    j.Set("rejects", t.rejects);
+    j.Set("attributed_energy_mj", t.attributed_energy_mj);
+    per_tenant.Append(std::move(j));
   }
-  out += "]}";
-  return out;
+  util::Json out = util::Json::Object();
+  out.Set("epoch", s.epoch);
+  out.Set("deployments", s.deployments);
+  out.Set("standing_queries", s.standing_queries);
+  out.Set("pending_requests", s.pending_requests);
+  out.Set("admits", s.admits);
+  out.Set("retires", s.retires);
+  out.Set("rejects", s.rejects);
+  out.Set("rejects_by_kind", std::move(rejects_by_kind));
+  out.Set("total_energy_mj", s.total_energy_mj);
+  out.Set("per_deployment", std::move(per_deployment));
+  out.Set("per_tenant", std::move(per_tenant));
+  return out.Dump(-1);
 }
 
 }  // namespace service

@@ -11,6 +11,9 @@
 
 namespace prospector {
 namespace testvec {
+
+using util::Json;
+
 namespace {
 
 /// Engine bootstrap length used by every chaos run. Scripted events all
@@ -489,29 +492,6 @@ ChaosReport RunChaos(const ChaosConfig& config) {
   return report;
 }
 
-Json FlightEventsToJson(const std::vector<obs::FlightEvent>& events) {
-  Json cols = Json::Array();
-  for (const char* c : {"epoch", "site", "kind", "seq", "query", "a", "b"}) {
-    cols.Append(c);
-  }
-  Json rows = Json::Array();
-  for (const obs::FlightEvent& ev : events) {
-    Json row = Json::Array();
-    row.Append(ev.epoch);
-    row.Append(ev.site);
-    row.Append(obs::FlightKindName(ev.kind));
-    row.Append(static_cast<int64_t>(ev.seq));
-    row.Append(ev.query_id);
-    row.Append(ev.a);
-    row.Append(ev.b);
-    rows.Append(std::move(row));
-  }
-  Json j = Json::Object();
-  j.Set("columns", std::move(cols));
-  j.Set("events", std::move(rows));
-  return j;
-}
-
 Json ChaosArtifact(const ChaosReport& report) {
   Json c = Json::Object();
   std::string name = "chaos-seed-" + std::to_string(report.config.seed);
@@ -529,7 +509,7 @@ Json ChaosArtifact(const ChaosReport& report) {
   // the whole story; replay compares it byte-for-byte (the key is absent
   // from artifacts written by obs-disabled builds, and replay skips the
   // check when either side lacks it).
-  c.Set("flight_recorder", FlightEventsToJson(report.flight));
+  c.Set("flight_recorder", obs::FlightTimelineJson(report.flight));
 #endif
 
   Json doc = Json::Object();
@@ -541,7 +521,7 @@ Json ChaosArtifact(const ChaosReport& report) {
 }
 
 Status WriteChaosArtifact(const std::string& path, const ChaosReport& report) {
-  return WriteFile(path, ChaosArtifact(report).Dump(2) + "\n");
+  return util::WriteFile(path, ChaosArtifact(report).Dump(2) + "\n");
 }
 
 }  // namespace testvec

@@ -9,7 +9,7 @@
 #include "src/net/fault_injector.h"
 #include "src/net/simulator.h"
 #include "src/obs/flight_recorder.h"
-#include "src/testvec/json.h"
+#include "src/util/json.h"
 #include "src/util/status.h"
 
 namespace prospector {
@@ -49,16 +49,16 @@ namespace testvec {
 
 /// Scripted fault timeline <-> corpus JSON (also used by the golden
 /// fault-schedule vectors).
-Json FaultEventToJson(const net::FaultEvent& e);
-Result<net::FaultEvent> FaultEventFromJson(const Json& j);
-Json FaultScheduleToJson(const net::FaultSchedule& s);
-Result<net::FaultSchedule> FaultScheduleFromJson(const Json& j);
+util::Json FaultEventToJson(const net::FaultEvent& e);
+Result<net::FaultEvent> FaultEventFromJson(const util::Json& j);
+util::Json FaultScheduleToJson(const net::FaultSchedule& s);
+Result<net::FaultSchedule> FaultScheduleFromJson(const util::Json& j);
 
 /// Canonical JSON of a FaultInjector's materialized state (dead set, cut
 /// set, probability overrides, armed adversarial knobs, counts). The
 /// golden timeline vectors store this per step; replay compares the
 /// live injector's state against it textually.
-Json InjectorStateToJson(const net::FaultInjector& injector);
+util::Json InjectorStateToJson(const net::FaultInjector& injector);
 
 /// One chaos run, fully determined by these knobs: the topology, the
 /// fault schedule, the transport rates, the truth series, and the query
@@ -78,8 +78,8 @@ struct ChaosConfig {
   bool strip_duplicates = false;
 };
 
-Json ChaosConfigToJson(const ChaosConfig& c);
-Result<ChaosConfig> ChaosConfigFromJson(const Json& j);
+util::Json ChaosConfigToJson(const ChaosConfig& c);
+Result<ChaosConfig> ChaosConfigFromJson(const util::Json& j);
 
 /// The seeded schedule a chaos run injects (pure function of the config
 /// and the topology size; `strip_duplicates` only zeroes duplication
@@ -128,17 +128,12 @@ struct ChaosReport {
 /// I1-I4 (I5-I7 are cross-run properties the soak test asserts).
 ChaosReport RunChaos(const ChaosConfig& config);
 
-/// Columnar JSON for a merged flight timeline: {"columns": [...],
-/// "events": [[epoch, site, kind, seq, query, a, b], ...]}. Byte-stable
-/// across replays of the same config (see ChaosReport::flight).
-Json FlightEventsToJson(const std::vector<obs::FlightEvent>& events);
-
 /// Serializes a run as a replayable vector file: module "fault_schedule",
 /// one case of kind "chaos_replay" carrying the config, the materialized
 /// schedule (for review), and the violations observed. ReplayVectorFile
 /// re-runs the config and fails if any violation reproduces — so a CI
 /// artifact is a one-command repro.
-Json ChaosArtifact(const ChaosReport& report);
+util::Json ChaosArtifact(const ChaosReport& report);
 Status WriteChaosArtifact(const std::string& path, const ChaosReport& report);
 
 }  // namespace testvec

@@ -9,6 +9,9 @@
 
 namespace prospector {
 namespace testvec {
+
+using util::Json;
+
 namespace {
 
 using core::DecodeSubplan;

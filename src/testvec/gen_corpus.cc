@@ -20,16 +20,19 @@
 #include "src/core/plan_wire.h"
 #include "src/lp/kkt.h"
 #include "src/lp/simplex.h"
-#include "src/lp/vector_emit.h"
 #include "src/net/fault_injector.h"
 #include "src/net/simulator.h"
 #include "src/net/topology.h"
 #include "src/testvec/chaos.h"
 #include "src/testvec/replay.h"
 #include "src/testvec/testvec.h"
+#include "src/testvec/vector_emit.h"
 
 namespace prospector {
 namespace testvec {
+
+using util::Json;
+
 namespace {
 
 using core::Subplan;
@@ -372,8 +375,8 @@ Json LpCase(const std::string& name, const lp::Model& model,
   c.Set("name", name);
   c.Set("kind", "solve");
   if (!note.empty()) c.Set("note", note);
-  c.Set("model", lp::ModelToJson(model));
-  c.Set("solution", lp::SolutionToJson(*solved));
+  c.Set("model", ModelToJson(model));
+  c.Set("solution", SolutionToJson(*solved));
   return c;
 }
 
@@ -814,7 +817,9 @@ void WriteVectorFile(const std::string& dir, const std::string& name,
   auto parsed = Json::Parse(tmp);
   if (!parsed.ok()) Die(name + ": generated JSON does not re-parse");
   const std::string path = dir + "/" + name;
-  if (const Status st = WriteFile(path, tmp); !st.ok()) Die(st.ToString());
+  if (const Status st = util::WriteFile(path, tmp); !st.ok()) {
+    Die(st.ToString());
+  }
   if (const Status st = ReplayVectorFile(path, &stats); !st.ok()) {
     Die("self-replay failed: " + st.ToString());
   }

@@ -39,6 +39,7 @@
 #include "src/service/fleet.h"
 #include "src/testvec/chaos.h"
 #include "src/testvec/testvec.h"
+#include "src/util/json.h"
 #include "src/util/status.h"
 
 #include <vector>
@@ -48,7 +49,7 @@ namespace {
 using prospector::Status;
 using prospector::testvec::ChaosConfig;
 using prospector::testvec::ChaosReport;
-using prospector::testvec::Json;
+using prospector::util::Json;
 
 int Fail(const Status& st) {
   std::fprintf(stderr, "prospector_obsdump: %s\n", st.ToString().c_str());
@@ -70,7 +71,7 @@ int RunDemo(uint64_t seed, const std::string& outdir) {
   const std::string health =
       prospector::core::HealthReportJson(report.health) + "\n";
   const std::string flight =
-      prospector::testvec::FlightEventsToJson(report.flight).Dump(2) + "\n";
+      prospector::obs::FlightTimelineJson(report.flight).Dump(2) + "\n";
 
   const std::string prefix = outdir.empty() ? "." : outdir;
   std::error_code ec;
@@ -89,7 +90,7 @@ int RunDemo(uint64_t seed, const std::string& outdir) {
   };
   for (const auto& f : files) {
     const std::string path = prefix + "/" + f.name;
-    if (const Status st = prospector::testvec::WriteFile(path, *f.body);
+    if (const Status st = prospector::util::WriteFile(path, *f.body);
         !st.ok()) {
       return Fail(st);
     }
@@ -201,7 +202,7 @@ int RunFleetDemo(uint64_t seed, const std::string& outdir) {
   };
   for (const auto& f : files) {
     const std::string path = prefix + "/" + f.name;
-    if (const Status st = prospector::testvec::WriteFile(path, *f.body);
+    if (const Status st = prospector::util::WriteFile(path, *f.body);
         !st.ok()) {
       return Fail(st);
     }

@@ -9,14 +9,17 @@
 #include "src/core/plan_merge.h"
 #include "src/lp/kkt.h"
 #include "src/lp/simplex.h"
-#include "src/lp/vector_emit.h"
 #include "src/net/fault_injector.h"
 #include "src/net/simulator.h"
 #include "src/net/topology.h"
 #include "src/testvec/chaos.h"
+#include "src/testvec/vector_emit.h"
 
 namespace prospector {
 namespace testvec {
+
+using util::Json;
+
 namespace {
 
 Status CaseError(const std::string& what) {
@@ -208,9 +211,9 @@ Status ReplayLpCase(const Json& c) {
   if (c.at("kind").str() != "solve") {
     return CaseError("unknown lp case kind '" + c.at("kind").str() + "'");
   }
-  auto model = lp::ModelFromJson(c.at("model"));
+  auto model = ModelFromJson(c.at("model"));
   if (!model.ok()) return model.status();
-  auto stored = lp::SolutionFromJson(c.at("solution"));
+  auto stored = SolutionFromJson(c.at("solution"));
   if (!stored.ok()) return stored.status();
   const double kkt_tol =
       c.at("kkt_tol").is_number() ? c.at("kkt_tol").number() : 1e-6;
@@ -402,7 +405,7 @@ Status ReplayFaultScheduleCase(const Json& c) {
       // wall-clock values), so a replay must reproduce it byte-for-byte.
       // Skipped when the artifact predates the recorder or was written
       // by an obs-disabled build.
-      const std::string got = FlightEventsToJson(report.flight).Dump(-1);
+      const std::string got = obs::FlightTimelineJson(report.flight).Dump(-1);
       const std::string want = c.at("flight_recorder").Dump(-1);
       if (got != want) {
         return CaseError(

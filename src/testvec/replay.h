@@ -4,8 +4,8 @@
 #include <string>
 
 #include "src/core/plan_wire.h"
-#include "src/testvec/json.h"
 #include "src/testvec/testvec.h"
+#include "src/util/json.h"
 #include "src/util/status.h"
 
 namespace prospector {
@@ -50,14 +50,14 @@ namespace testvec {
 ///                           the persisted form of a failing schedule.
 
 /// Serializes a subplan for the corpus / parses one back.
-Json SubplanToJson(const core::Subplan& subplan);
-Result<core::Subplan> SubplanFromJson(const Json& j);
+util::Json SubplanToJson(const core::Subplan& subplan);
+Result<core::Subplan> SubplanFromJson(const util::Json& j);
 
 /// Replays one case of the given module. OK when every expectation holds.
-Status ReplayPlanWireCase(const Json& c);
-Status ReplayLpCase(const Json& c);
-Status ReplaySuperplanCase(const Json& c);
-Status ReplayFaultScheduleCase(const Json& c);
+Status ReplayPlanWireCase(const util::Json& c);
+Status ReplayLpCase(const util::Json& c);
+Status ReplaySuperplanCase(const util::Json& c);
+Status ReplayFaultScheduleCase(const util::Json& c);
 
 /// Totals from a corpus replay.
 struct ReplayStats {

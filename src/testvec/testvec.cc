@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 namespace prospector {
 namespace testvec {
+
+using util::Json;
 
 std::string BytesToHex(const std::vector<uint8_t>& bytes) {
   static const char* kDigits = "0123456789abcdef";
@@ -43,24 +43,6 @@ Result<std::vector<uint8_t>> HexToBytes(const std::string& hex) {
   return out;
 }
 
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) return Status::Internal("read error on " + path);
-  return buf.str();
-}
-
-Status WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::Internal("cannot open " + path + " for writing");
-  out << content;
-  out.close();
-  if (!out) return Status::Internal("write error on " + path);
-  return Status::OK();
-}
-
 Result<std::vector<std::string>> ListVectorFiles(const std::string& dir) {
   namespace fs = std::filesystem;
   std::error_code ec;
@@ -82,7 +64,7 @@ Result<std::vector<std::string>> ListVectorFiles(const std::string& dir) {
 }
 
 Result<Json> LoadVectorFile(const std::string& path) {
-  auto text = ReadFile(path);
+  auto text = util::ReadFile(path);
   if (!text.ok()) return text.status();
   auto doc = Json::Parse(*text);
   if (!doc.ok()) {

@@ -1,13 +1,22 @@
-#include "src/lp/vector_emit.h"
+#include "src/testvec/vector_emit.h"
 
 #include <cmath>
 #include <string>
 
 namespace prospector {
-namespace lp {
+namespace testvec {
 namespace {
 
-using testvec::Json;
+using lp::kInfinity;
+using lp::Model;
+using lp::Row;
+using lp::RowType;
+using lp::Sense;
+using lp::Solution;
+using lp::SolveStatus;
+using lp::Term;
+using lp::Variable;
+using util::Json;
 
 Json BoundToJson(double b) {
   if (b == kInfinity) return Json("inf");
@@ -205,5 +214,5 @@ Result<Solution> SolutionFromJson(const Json& j) {
   return s;
 }
 
-}  // namespace lp
+}  // namespace testvec
 }  // namespace prospector

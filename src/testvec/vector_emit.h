@@ -1,13 +1,13 @@
-#ifndef PROSPECTOR_LP_VECTOR_EMIT_H_
-#define PROSPECTOR_LP_VECTOR_EMIT_H_
+#ifndef PROSPECTOR_TESTVEC_VECTOR_EMIT_H_
+#define PROSPECTOR_TESTVEC_VECTOR_EMIT_H_
 
 #include "src/lp/model.h"
 #include "src/lp/simplex.h"
-#include "src/testvec/json.h"
+#include "src/util/json.h"
 #include "src/util/status.h"
 
 namespace prospector {
-namespace lp {
+namespace testvec {
 
 /// JSON emission/loading of LP models and solutions for the golden
 /// test-vector corpus (spec/test-vectors/lp_*.json). A stored optimum is
@@ -27,15 +27,15 @@ namespace lp {
 ///               "objective", "values": [...],
 ///               "row_duals": [...], "reduced_costs": [...] }
 ///   (the three arrays are present for optimal solutions only).
-testvec::Json ModelToJson(const Model& model);
-Result<Model> ModelFromJson(const testvec::Json& j);
+util::Json ModelToJson(const lp::Model& model);
+Result<lp::Model> ModelFromJson(const util::Json& j);
 
-testvec::Json SolutionToJson(const Solution& solution);
+util::Json SolutionToJson(const lp::Solution& solution);
 /// Loads the solution fields the corpus stores (status, objective, primal
 /// point, KKT certificate); solver-internal fields stay default.
-Result<Solution> SolutionFromJson(const testvec::Json& j);
+Result<lp::Solution> SolutionFromJson(const util::Json& j);
 
-}  // namespace lp
+}  // namespace testvec
 }  // namespace prospector
 
-#endif  // PROSPECTOR_LP_VECTOR_EMIT_H_
+#endif  // PROSPECTOR_TESTVEC_VECTOR_EMIT_H_

@@ -1,12 +1,14 @@
-#include "src/testvec/json.h"
+#include "src/util/json.h"
 
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 namespace prospector {
-namespace testvec {
+namespace util {
 namespace {
 
 /// Recursive-descent parser over a raw character range. Depth-limited so a
@@ -269,9 +271,14 @@ void AppendEscaped(std::string* out, const std::string& s) {
 }
 
 void AppendNumber(std::string* out, double v) {
+  // JSON has no NaN or infinity literal.
+  if (!std::isfinite(v)) {
+    *out += "null";
+    return;
+  }
   // Integers in the double-exact range print without a fraction — the
   // common case for the corpus (ids, counts, byte values).
-  if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 9.0e15) {
+  if (v == std::floor(v) && std::abs(v) < 9.0e15) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
     *out += buf;
@@ -362,5 +369,23 @@ std::string Json::Dump(int indent) const {
   return out;
 }
 
-}  // namespace testvec
+Result<std::string> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::NotFound("cannot open " + path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  if (in.bad()) return Status::Internal("read error on " + path);
+  return buf.str();
+}
+
+Status WriteFile(const std::string& path, const std::string& content) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::Internal("cannot open " + path + " for writing");
+  out << content;
+  out.close();
+  if (!out) return Status::Internal("write error on " + path);
+  return Status::OK();
+}
+
+}  // namespace util
 }  // namespace prospector

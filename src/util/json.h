@@ -1,6 +1,7 @@
-#ifndef PROSPECTOR_TESTVEC_JSON_H_
-#define PROSPECTOR_TESTVEC_JSON_H_
+#ifndef PROSPECTOR_UTIL_JSON_H_
+#define PROSPECTOR_UTIL_JSON_H_
 
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -9,19 +10,21 @@
 #include "src/util/status.h"
 
 namespace prospector {
-namespace testvec {
+namespace util {
 
-/// Minimal JSON document model for the golden test-vector corpus
-/// (spec/test-vectors/*.json). Self-contained on purpose — the container
-/// bakes no JSON library, and the corpus only needs a faithful, fully
+/// Minimal JSON document model: the one writer behind every JSON artifact
+/// (health, fleet status, metrics, flight timelines, chrome traces, bench
+/// tables) and the parser for the golden test-vector corpus
+/// (spec/test-vectors/*.json). Self-contained on purpose — the build
+/// links no JSON library, and the artifacts only need a faithful, fully
 /// deterministic subset:
-///   - object keys keep insertion order (so the generator's output is
+///   - object keys keep insertion order (so generated output is
 ///     byte-stable across runs and diffs stay readable);
 ///   - numbers round-trip exactly: integers in the double-exact range
 ///     print without an exponent or fraction, other doubles print via the
 ///     shortest form that parses back to the same bits;
-///   - `inf` / `-inf` are handled by the LP vector schema as strings, not
-///     here (JSON itself has no infinity literal).
+///   - NaN and +/-infinity dump as `null` (JSON has no literal for them);
+///     the LP vector schema spells infinite bounds as strings instead.
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -29,8 +32,9 @@ class Json {
   Json() : type_(Type::kNull) {}
   Json(bool b) : type_(Type::kBool), bool_(b) {}            // NOLINT
   Json(double d) : type_(Type::kNumber), number_(d) {}      // NOLINT
-  Json(int i) : type_(Type::kNumber), number_(i) {}         // NOLINT
-  Json(int64_t i)                                           // NOLINT
+  template <std::integral T>
+    requires(!std::same_as<T, bool>)
+  Json(T i)                                                 // NOLINT
       : type_(Type::kNumber), number_(static_cast<double>(i)) {}
   Json(std::string s) : type_(Type::kString), str_(std::move(s)) {}  // NOLINT
   Json(const char* s) : type_(Type::kString), str_(s) {}    // NOLINT
@@ -122,7 +126,11 @@ class Json {
   std::vector<std::pair<std::string, Json>> members_;
 };
 
-}  // namespace testvec
+/// Whole-file IO (binary-faithful) for the artifacts above.
+Result<std::string> ReadFile(const std::string& path);
+Status WriteFile(const std::string& path, const std::string& content);
+
+}  // namespace util
 }  // namespace prospector
 
-#endif  // PROSPECTOR_TESTVEC_JSON_H_
+#endif  // PROSPECTOR_UTIL_JSON_H_

@@ -9,11 +9,14 @@
 
 #include "src/testvec/replay.h"
 #include "src/testvec/testvec.h"
+#include "src/util/json.h"
 #include "src/util/status.h"
 
 namespace prospector {
 namespace testvec {
 namespace {
+
+using util::Json;
 
 // CI shards the soak through these knobs (see .github/workflows/ci.yml,
 // chaos-smoke): PROSPECTOR_CHAOS_SEEDS caps the corpus size (the TSan arm
@@ -61,7 +64,8 @@ TEST(ChaosSoak, SeededSchedulesHoldEveryInvariant) {
       WriteChaosArtifact(artifact, report);
       const std::string flight_dump =
           "chaos_flight_seed" + std::to_string(seed) + ".json";
-      WriteFile(flight_dump, FlightEventsToJson(report.flight).Dump(2) + "\n");
+      util::WriteFile(flight_dump,
+                      obs::FlightTimelineJson(report.flight).Dump(2) + "\n");
       for (const std::string& v : report.violations) {
         ADD_FAILURE() << "seed " << seed << ": " << v
                       << " (replay artifact: " << artifact
@@ -193,8 +197,8 @@ TEST(ChaosArtifactTest, FlightTimelineIsReplayDeterministic) {
   const ChaosReport first = RunChaos(config);
   const ChaosReport second = RunChaos(config);
   ASSERT_FALSE(first.flight.empty());
-  EXPECT_EQ(FlightEventsToJson(first.flight).Dump(-1),
-            FlightEventsToJson(second.flight).Dump(-1));
+  EXPECT_EQ(obs::FlightTimelineJson(first.flight).Dump(-1),
+            obs::FlightTimelineJson(second.flight).Dump(-1));
 }
 
 TEST(ChaosArtifactTest, TamperedFlightTimelineFailsReplay) {
@@ -217,7 +221,7 @@ TEST(ChaosArtifactTest, TamperedFlightTimelineFailsReplay) {
     truncated.Append(events[i]);
   }
   flight->Set("events", std::move(truncated));
-  ASSERT_TRUE(WriteFile(path, doc->Dump(2) + "\n").ok());
+  ASSERT_TRUE(util::WriteFile(path, doc->Dump(2) + "\n").ok());
   const Status st = ReplayVectorFile(path, nullptr);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("flight"), std::string::npos) << st.ToString();
@@ -240,7 +244,7 @@ TEST(ChaosArtifactTest, TamperedScheduleFailsReplay) {
   ASSERT_GT(schedule.size(), 0u);
   Json& event = schedule[0];
   event.Set("epoch", event.at("epoch").AsInt() + 1);
-  ASSERT_TRUE(WriteFile(path, doc->Dump(2) + "\n").ok());
+  ASSERT_TRUE(util::WriteFile(path, doc->Dump(2) + "\n").ok());
   const Status st = ReplayVectorFile(path, nullptr);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("drifted"), std::string::npos)

@@ -15,6 +15,7 @@
 #include "src/obs/audit.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
+#include "src/util/json.h"
 #include "src/util/rng.h"
 
 namespace prospector {
@@ -772,6 +773,59 @@ TEST(QueryEngineHealthTest, DisarmedSloNeverTrips) {
   }
   EXPECT_NE(engine.query_health(id).status, HealthStatus::kUnhealthy);
   EXPECT_NE(engine.query_health(id).status, HealthStatus::kDegraded);
+}
+
+// The health scrape parses back to every field in declaration order, with
+// numbers exact: an energy of 615.3320000000001 mJ keeps its last digit.
+TEST(QueryEngineHealthTest, HealthReportJsonParsesToEveryField) {
+  QueryHealth q;
+  q.query_id = 4;
+  q.deployment_id = 2;
+  q.tenant_id = 9;
+  q.status = HealthStatus::kDegraded;
+  q.scored_epochs = 12;
+  q.consecutive_breaches = 1;
+  q.last_recall = 0.6;
+  q.mean_recall = 2.0 / 3.0;
+  q.mean_energy_mj = 615.3320000000001;
+  q.mean_replan_latency_ms = 0.125;
+  q.mean_guard_rejects = 1.5;
+  q.predicted_recall = 0.9;
+  q.recall_residual = 0.9 - 0.6;
+  q.breached = "recall,energy";
+
+  auto json = util::Json::Parse(HealthReportJson({q, QueryHealth{}}));
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  ASSERT_EQ(json->size(), 2u);
+  const util::Json& j = (*json)[0];
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : j.members()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "query", "deployment", "tenant", "status",
+                      "scored_epochs", "consecutive_breaches", "last_recall",
+                      "mean_recall", "mean_energy_mj",
+                      "mean_replan_latency_ms", "mean_guard_rejects",
+                      "predicted_recall", "recall_residual", "breached"}));
+  EXPECT_EQ(j.at("query").number(), 4);
+  EXPECT_EQ(j.at("deployment").number(), 2);
+  EXPECT_EQ(j.at("tenant").number(), 9);
+  EXPECT_EQ(j.at("status").str(), "degraded");
+  EXPECT_EQ(j.at("scored_epochs").number(), 12);
+  EXPECT_EQ(j.at("consecutive_breaches").number(), 1);
+  EXPECT_EQ(j.at("last_recall").number(), q.last_recall);
+  EXPECT_EQ(j.at("mean_recall").number(), q.mean_recall);
+  EXPECT_EQ(j.at("mean_energy_mj").number(), q.mean_energy_mj);
+  EXPECT_EQ(j.at("mean_replan_latency_ms").number(),
+            q.mean_replan_latency_ms);
+  EXPECT_EQ(j.at("mean_guard_rejects").number(), q.mean_guard_rejects);
+  EXPECT_EQ(j.at("predicted_recall").number(), q.predicted_recall);
+  EXPECT_EQ(j.at("recall_residual").number(), q.recall_residual);
+  EXPECT_EQ(j.at("breached").str(), "recall,energy");
+  // A default (untagged, signal-less) entry keeps its -1 sentinels.
+  EXPECT_EQ((*json)[1].at("query").number(), -1);
+  EXPECT_EQ((*json)[1].at("status").str(), "unknown");
+  EXPECT_EQ((*json)[1].at("mean_recall").number(), -1);
+  EXPECT_EQ((*json)[1].at("breached").str(), "");
 }
 
 // --- MetricsRegistry::ResetAll leakage (satellite) -----------------------

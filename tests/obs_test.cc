@@ -1,6 +1,6 @@
-// Observability layer: metric determinism under the planner thread pool,
-// trace span nesting, the energy ledger audit (including an injected
-// discrepancy), and the telemetry surfaced through planners and engines.
+// Observability layer: metric determinism, trace span nesting, the energy
+// ledger audit (including an injected discrepancy), the telemetry surfaced
+// through planners and engines, and the JSON dumps parsing back.
 
 #include "src/obs/obs.h"
 
@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,12 +17,25 @@
 #include "src/core/query_engine.h"
 #include "src/obs/openmetrics.h"
 #include "src/data/gaussian_field.h"
+#include "src/util/json.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
 namespace prospector {
 namespace obs {
 namespace {
+
+util::Json MustParse(const std::string& text) {
+  auto j = util::Json::Parse(text);
+  EXPECT_TRUE(j.ok()) << text << " -> " << j.status().ToString();
+  return j.ok() ? std::move(*j) : util::Json();
+}
+
+std::vector<std::string> Keys(const util::Json& object) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : object.members()) keys.push_back(key);
+  return keys;
+}
 
 // ---------------------------------------------------------------------------
 // Metrics
@@ -66,9 +80,28 @@ TEST(ObsMetricsTest, SnapshotOrderingIsNameSortedNotRegistrationOrder) {
   ASSERT_EQ(snap.histograms.size(), 2u);
   EXPECT_EQ(snap.histograms[0].first, "a.h");
 
-  const std::string json = snap.ToJson();
-  EXPECT_NE(json.find("\"a.first\""), std::string::npos);
-  EXPECT_LT(json.find("\"a.first\""), json.find("\"z.last\""));
+  const util::Json json = MustParse(snap.ToJson());
+  EXPECT_EQ(Keys(json), (std::vector<std::string>{"counters", "gauges",
+                                                   "histograms"}));
+  const util::Json& counters = json.at("counters");
+  EXPECT_EQ(Keys(counters),
+            (std::vector<std::string>{"a.first", "m.mid", "z.last"}));
+  EXPECT_EQ(counters.at("a.first").number(), 2);
+  EXPECT_EQ(counters.at("m.mid").number(), 3);
+  EXPECT_EQ(counters.at("z.last").number(), 1);
+  const util::Json& gauges = json.at("gauges");
+  EXPECT_EQ(Keys(gauges), (std::vector<std::string>{"a.g", "z.g"}));
+  EXPECT_EQ(gauges.at("a.g").number(), 2.0);
+  EXPECT_EQ(gauges.at("z.g").number(), 1.0);
+  const util::Json& histograms = json.at("histograms");
+  EXPECT_EQ(Keys(histograms), (std::vector<std::string>{"a.h", "z.h"}));
+  const util::Json& a_h = histograms.at("a.h");
+  EXPECT_EQ(Keys(a_h),
+            (std::vector<std::string>{"count", "sum", "min", "max"}));
+  EXPECT_EQ(a_h.at("count").number(), 1);
+  EXPECT_EQ(a_h.at("sum").number(), 2.0);
+  EXPECT_EQ(a_h.at("min").number(), 2.0);
+  EXPECT_EQ(a_h.at("max").number(), 2.0);
 }
 
 TEST(ObsMetricsTest, HistogramTracksCountSumMinMaxAndBuckets) {
@@ -91,7 +124,7 @@ TEST(ObsMetricsTest, HistogramTracksCountSumMinMaxAndBuckets) {
 // The counter snapshot after a Plan() call is a deterministic function of
 // the planner's input: two runs on the same window report identical
 // counters, and the LP layer reports through them.
-TEST(ObsMetricsTest, PlannerCountersIdenticalAcrossParallelism) {
+TEST(ObsMetricsTest, PlannerCountersIdenticalAcrossRuns) {
   Rng rng(7);
   net::GeometricNetworkOptions geo;
   geo.num_nodes = 60;
@@ -176,18 +209,28 @@ TEST(ObsTraceTest, WriteChromeTraceProducesLoadableJson) {
   const std::string path = ::testing::TempDir() + "/obs_test_trace.json";
   ASSERT_TRUE(Tracer::Global().WriteChromeTrace(path));
 
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::string contents;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) contents.append(buf, n);
-  std::fclose(f);
+  auto contents = util::ReadFile(path);
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
   std::remove(path.c_str());
 
-  EXPECT_NE(contents.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(contents.find("test.write.a"), std::string::npos);
-  EXPECT_NE(contents.find("\"ph\": \"X\""), std::string::npos);
+  const util::Json trace = MustParse(*contents);
+  EXPECT_EQ(Keys(trace), std::vector<std::string>{"traceEvents"});
+  const util::Json& events = trace.at("traceEvents");
+  ASSERT_EQ(events.size(), 2u);
+  std::vector<std::string> names;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const util::Json& e = events[i];
+    EXPECT_EQ(Keys(e), (std::vector<std::string>{"name", "cat", "ph", "pid",
+                                                  "tid", "ts", "dur"}));
+    names.push_back(e.at("name").str());
+    EXPECT_EQ(e.at("cat").str(), "prospector");
+    EXPECT_EQ(e.at("ph").str(), "X");
+    EXPECT_EQ(e.at("pid").number(), 1);
+    EXPECT_GE(e.at("dur").number(), 0);
+  }
+  // The outer span opens no later than the inner one and wins a timestamp
+  // tie on depth, so it sorts first.
+  EXPECT_EQ(names, (std::vector<std::string>{"test.write.a", "test.write.b"}));
   // Writing drains: the buffer is empty afterwards.
   EXPECT_TRUE(Tracer::Global().Drain().empty());
 }
@@ -392,12 +435,21 @@ TEST(ObsFlightTest, DumpJsonCarriesSchemaColumnsAndEvents) {
   fr.Clear();
   fr.SetEpoch(1);
   fr.Record(FlightKind::kGuardReject, "test.dump", 7, 0.5, 1.0);
-  const std::string json = fr.DumpJson();
-  EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"columns\""), std::string::npos);
-  EXPECT_NE(json.find("\"dropped\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"test.dump\""), std::string::npos);
-  EXPECT_NE(json.find("\"guard_reject\""), std::string::npos);
+  // A failed ledger audit records its NaN divergence as a payload; the
+  // dump must stay parseable JSON.
+  fr.Record(FlightKind::kAudit, "test.nan", -1, std::nan(""),
+            std::numeric_limits<double>::infinity());
+  const util::Json json = MustParse(fr.DumpJson());
+  EXPECT_EQ(Keys(json), (std::vector<std::string>{"schema_version", "dropped",
+                                                  "columns", "events"}));
+  EXPECT_EQ(json.at("schema_version").number(), 1);
+  EXPECT_EQ(json.at("dropped").number(), 0);
+  EXPECT_EQ(json.at("columns").Dump(-1),
+            R"(["epoch","site","kind","seq","query","a","b"])");
+  const util::Json& events = json.at("events");
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].Dump(-1), R"([1,"test.dump","guard_reject",0,7,0.5,1])");
+  EXPECT_EQ(events[1].Dump(-1), R"([1,"test.nan","audit",1,-1,null,null])");
   fr.Clear();
 }
 

@@ -14,6 +14,7 @@
 #include "src/core/plan_wire.h"
 #include "src/testvec/fuzz.h"
 #include "src/testvec/testvec.h"
+#include "src/util/json.h"
 
 #ifndef PROSPECTOR_SPEC_DEFAULT
 #define PROSPECTOR_SPEC_DEFAULT "spec/test-vectors"
@@ -75,7 +76,8 @@ TEST(FuzzTest, HundredThousandIterationsCleanRun) {
   if (!report.ok) {
     // Persist the failing input for CI artifact upload and local triage.
     const std::string hex = BytesToHex(report.failing_input);
-    if (const Status st = WriteFile("plan_wire_fuzz_failure.hex", hex + "\n");
+    if (const Status st =
+            util::WriteFile("plan_wire_fuzz_failure.hex", hex + "\n");
         !st.ok()) {
       std::fprintf(stderr, "could not save failing input: %s\n",
                    st.ToString().c_str());

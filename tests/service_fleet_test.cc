@@ -17,6 +17,7 @@
 #include "src/data/gaussian_field.h"
 #include "src/net/topology.h"
 #include "src/obs/metrics.h"
+#include "src/util/json.h"
 #include "src/util/thread_pool.h"
 
 namespace prospector {
@@ -431,11 +432,60 @@ TEST(FleetServiceTest, HealthReportIsTaggedAndRollsUp) {
   EXPECT_EQ(deployments[0].queries, 2);
   EXPECT_EQ(deployments[1].queries, 1);
 
-  const std::string json = core::FleetHealthJson(report);
-  EXPECT_NE(json.find("\"tenants\""), std::string::npos);
-  EXPECT_NE(json.find("\"deployments\""), std::string::npos);
-  EXPECT_NE(FleetStatusJson(fleet->Snapshot()).find("\"per_tenant\""),
-            std::string::npos);
+  // The scrapes parse back to the structs they render, numbers exactly.
+  auto health = util::Json::Parse(core::FleetHealthJson(report));
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  ASSERT_EQ(health->members().size(), 3u);
+  EXPECT_EQ(health->members()[0].first, "queries");
+  EXPECT_EQ(health->members()[1].first, "tenants");
+  EXPECT_EQ(health->members()[2].first, "deployments");
+  const util::Json& queries = health->at("queries");
+  ASSERT_EQ(queries.size(), report.size());
+  for (size_t i = 0; i < report.size(); ++i) {
+    EXPECT_EQ(queries[i].at("query").number(), report[i].query_id);
+    EXPECT_EQ(queries[i].at("deployment").number(), report[i].deployment_id);
+    EXPECT_EQ(queries[i].at("tenant").number(), report[i].tenant_id);
+    EXPECT_EQ(queries[i].at("mean_energy_mj").number(),
+              report[i].mean_energy_mj);
+  }
+  const auto expect_rollups = [](const util::Json& json,
+                                 const std::vector<core::HealthRollup>& want) {
+    ASSERT_EQ(json.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(json[i].at("id").number(), want[i].id);
+      EXPECT_EQ(json[i].at("queries").number(), want[i].queries);
+      EXPECT_EQ(json[i].at("mean_recall").number(), want[i].mean_recall);
+      EXPECT_EQ(json[i].at("energy_mj").number(), want[i].energy_mj);
+    }
+  };
+  expect_rollups(health->at("tenants"), tenants);
+  expect_rollups(health->at("deployments"), deployments);
+
+  const FleetStatus status = fleet->Snapshot();
+  auto status_json = util::Json::Parse(FleetStatusJson(status));
+  ASSERT_TRUE(status_json.ok()) << status_json.status().ToString();
+  EXPECT_EQ(status_json->at("deployments").number(), 2);
+  EXPECT_EQ(status_json->at("standing_queries").number(), 3);
+  EXPECT_EQ(status_json->at("total_energy_mj").number(),
+            status.total_energy_mj);
+  EXPECT_EQ(status_json->at("rejects_by_kind").size(),
+            static_cast<size_t>(kAdmitRejectKinds - 1));
+  const util::Json& per_tenant = status_json->at("per_tenant");
+  ASSERT_EQ(per_tenant.size(), status.per_tenant.size());
+  for (size_t i = 0; i < status.per_tenant.size(); ++i) {
+    EXPECT_EQ(per_tenant[i].at("tenant").number(),
+              status.per_tenant[i].tenant_id);
+    EXPECT_EQ(per_tenant[i].at("attributed_energy_mj").number(),
+              status.per_tenant[i].attributed_energy_mj);
+  }
+  const util::Json& per_deployment = status_json->at("per_deployment");
+  ASSERT_EQ(per_deployment.size(), status.per_deployment.size());
+  for (size_t i = 0; i < status.per_deployment.size(); ++i) {
+    EXPECT_EQ(per_deployment[i].at("deployment").number(),
+              status.per_deployment[i].deployment_id);
+    EXPECT_EQ(per_deployment[i].at("total_energy_mj").number(),
+              status.per_deployment[i].total_energy_mj);
+  }
 }
 
 }  // namespace

@@ -9,9 +9,9 @@
 #include <string>
 #include <vector>
 
-#include "src/testvec/json.h"
 #include "src/testvec/replay.h"
 #include "src/testvec/testvec.h"
+#include "src/util/json.h"
 
 #ifndef PROSPECTOR_SPEC_DEFAULT
 #define PROSPECTOR_SPEC_DEFAULT "spec/test-vectors"
@@ -20,6 +20,8 @@
 namespace prospector {
 namespace testvec {
 namespace {
+
+using util::Json;
 
 std::string SpecDir() { return SpecDirOrDefault(PROSPECTOR_SPEC_DEFAULT); }
 

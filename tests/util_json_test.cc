@@ -1,17 +1,17 @@
-// Unit tests for the vendored-in-miniature JSON layer (src/testvec/json.h)
-// and the corpus IO helpers. The golden vectors are only as trustworthy as
-// this parser, so its round trips and rejections get pinned here.
+// Unit tests for the one JSON layer (src/util/json.h). The golden vectors
+// and every dumped artifact are only as trustworthy as this parser and
+// writer, so their round trips and rejections get pinned here.
+
+#include "src/util/json.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
-#include <vector>
-
-#include "src/testvec/json.h"
-#include "src/testvec/testvec.h"
 
 namespace prospector {
-namespace testvec {
+namespace util {
 namespace {
 
 Json MustParse(const std::string& text) {
@@ -113,44 +113,20 @@ TEST(JsonTest, NumbersRoundTripExactly) {
   }
 }
 
-TEST(HexTest, RoundTripsAndRejects) {
-  const std::vector<uint8_t> bytes = {0x00, 0x01, 0x7f, 0x80, 0xff};
-  EXPECT_EQ(BytesToHex(bytes), "00017f80ff");
-  auto back = HexToBytes("00017f80ff");
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, bytes);
-  EXPECT_TRUE(HexToBytes("").ok());
-  EXPECT_FALSE(HexToBytes("abc").ok());   // odd length
-  EXPECT_FALSE(HexToBytes("zz").ok());    // non-hex digits
-  EXPECT_FALSE(HexToBytes("0 1").ok());
-}
-
-TEST(VectorFileTest, MissingCorpusFailsLoudly) {
-  auto files = ListVectorFiles("/nonexistent/spec/dir");
-  EXPECT_FALSE(files.ok());
-  EXPECT_EQ(files.status().code(), StatusCode::kNotFound);
-}
-
-TEST(VectorFileTest, EnvelopeValidation) {
-  const std::string dir = ::testing::TempDir();
-  const std::string good = dir + "/good_vec.json";
-  ASSERT_TRUE(WriteFile(good,
-                        R"({"module": "m", "cases": [{"name": "a", "kind": "k"}]})")
-                  .ok());
-  EXPECT_TRUE(LoadVectorFile(good).ok());
-
-  const std::string bad = dir + "/bad_vec.json";
-  ASSERT_TRUE(WriteFile(bad, R"({"cases": []})").ok());
-  EXPECT_FALSE(LoadVectorFile(bad).ok());  // no module
-  ASSERT_TRUE(WriteFile(bad, R"({"module": "m", "cases": [{"name": "a"}]})")
-                  .ok());
-  EXPECT_FALSE(LoadVectorFile(bad).ok());  // case lacks kind
-}
-
-TEST(VectorFileTest, SpecDirEnvOverrides) {
-  EXPECT_EQ(SpecDirOrDefault("fallback"), "fallback");
+TEST(JsonTest, NonFiniteNumbersDumpAsNull) {
+  Json doc = Json::Array();
+  doc.Append(std::nan(""));
+  doc.Append(std::numeric_limits<double>::infinity());
+  doc.Append(-std::numeric_limits<double>::infinity());
+  doc.Append(1.5);
+  const std::string text = doc.Dump(-1);
+  EXPECT_EQ(text, "[null,null,null,1.5]");
+  const Json back = MustParse(text);
+  ASSERT_EQ(back.size(), 4u);
+  EXPECT_TRUE(back[0].is_null());
+  EXPECT_TRUE(back[2].is_null());
 }
 
 }  // namespace
-}  // namespace testvec
+}  // namespace util
 }  // namespace prospector
