@@ -212,20 +212,16 @@ int Run() {
       .Meta("queries", total_queries)
       .Meta("tenants", kTenants)
       .Meta("epochs", epochs)
-      .Meta("scheduler_threads", hw)
-      .Meta("admits_per_sec", admits_per_sec)
-      .Meta("epochs_per_sec", epochs_per_sec)
-      .Meta("query_epochs_per_sec",
-            epochs_per_sec * static_cast<double>(total_queries))
-      .Meta("bit_identical", identical ? 1.0 : 0.0)
-      .Meta("quota_count_rejects", count_rejects)
-      .Meta("quota_energy_rejects", energy_rejects);
+      .HostFact("scheduler_threads", hw);
 
+  const double query_epochs_per_sec =
+      epochs_per_sec * static_cast<double>(total_queries);
   bench::TableHeader(&json, "Throughput",
                      {"queries", "admit_s", "admits_per_s", "epoch_s",
-                      "epochs_per_s"});
+                      "epochs_per_s", "query_epochs_per_s"});
   bench::TableRow(&json, {static_cast<double>(total_queries), admit_secs,
-                          admits_per_sec, epoch_secs, epochs_per_sec});
+                          admits_per_sec, epoch_secs, epochs_per_sec,
+                          query_epochs_per_sec});
   bench::TableHeader(&json, "BitIdentity",
                      {"identical", "answers_compared", "parallel_mJ",
                       "serial_mJ"});
@@ -241,8 +237,7 @@ int Run() {
   std::printf("\nadmitted %d/%d queries in %.3f s (%.0f/s); %d epochs in "
               "%.3f s (%.2f/s, %.0f query-epochs/s)\n",
               admit_ok, total_queries, admit_secs, admits_per_sec, epochs,
-              epoch_secs, epochs_per_sec,
-              epochs_per_sec * static_cast<double>(total_queries));
+              epoch_secs, epochs_per_sec, query_epochs_per_sec);
   std::printf("bit-identity: %s (%lld answers compared); quota rejects: "
               "%d by count, %d by energy\n",
               identical ? "parallel == serial" : "DIVERGED", answers_compared,

@@ -12,24 +12,6 @@ void InitLinkEvidence(int num_nodes, ExecutionResult* result) {
   result->edge_delivered.assign(num_nodes, 0);
 }
 
-std::vector<char> ComputeSubtreeLiveness(
-    const net::Topology& topology, const std::vector<char>& edge_expected,
-    const std::vector<char>& edge_delivered) {
-  std::vector<char> live(topology.num_nodes(), 1);
-  for (int u : topology.PreOrder()) {
-    if (u == topology.root()) continue;
-    const bool broken = edge_expected[u] && !edge_delivered[u];
-    live[u] = !broken && live[topology.parent(u)] ? 1 : 0;
-  }
-  return live;
-}
-
-void FinalizeSubtreeLiveness(const net::Topology& topology,
-                             ExecutionResult* result) {
-  result->subtree_live = ComputeSubtreeLiveness(
-      topology, result->edge_expected, result->edge_delivered);
-}
-
 ExecutionResult CollectionExecutor::Execute(const QueryPlan& plan,
                                             const std::vector<double>& truth,
                                             net::NetworkSimulator* sim,
@@ -155,7 +137,6 @@ ExecutionResult CollectionExecutor::Execute(const QueryPlan& plan,
     }
   }
   result.collection_energy_mj = collection;
-  FinalizeSubtreeLiveness(topo, &result);
 
   result.arrived = std::move(inbox[topo.root()]);
   result.arrived.push_back({topo.root(), truth[topo.root()]});

@@ -15,7 +15,7 @@ namespace core {
 ///
 /// Under fault injection or lossy transport the result is *partial* and
 /// says so: `degraded` flags any loss, `values_lost`/`messages_dropped`
-/// quantify it, and the per-node liveness vectors say which subtrees went
+/// quantify it, and the per-edge link evidence says which edges went
 /// dark — the observations the engine watchdog feeds on. A loss-free run
 /// leaves `degraded` false and every delivered flag equal to its expected
 /// flag.
@@ -45,9 +45,6 @@ struct ExecutionResult {
   std::vector<char> edge_expected;
   /// Per node u != root: u's message arrived at its parent this epoch.
   std::vector<char> edge_delivered;
-  /// Per node: every expected edge on u's path to the root delivered —
-  /// i.e. u's subtree had a working channel to the base station.
-  std::vector<char> subtree_live;
 
   double total_energy_mj() const {
     return trigger_energy_mj + collection_energy_mj;
@@ -60,17 +57,6 @@ struct ExecutionResult {
 
 /// Sizes and zeroes `edge_expected`/`edge_delivered` for a fresh phase.
 void InitLinkEvidence(int num_nodes, ExecutionResult* result);
-
-/// Per node: every expected edge on u's path to the root delivered — i.e.
-/// u's subtree had a working channel to the base station this epoch.
-std::vector<char> ComputeSubtreeLiveness(const net::Topology& topology,
-                                         const std::vector<char>& edge_expected,
-                                         const std::vector<char>& edge_delivered);
-
-/// Convenience: fills `result->subtree_live` from the result's own edge
-/// evidence.
-void FinalizeSubtreeLiveness(const net::Topology& topology,
-                             ExecutionResult* result);
 
 /// Executes non-proof plans (bandwidth plans with local filtering, and
 /// node-selection plans) over the simulator, charging every message.

@@ -314,12 +314,6 @@ SuperplanResult SuperplanExecutor::Execute(const Superplan& superplan,
     out.attributed_mj[q] = trigger_attr[q] + collect_attr[q];
   }
 
-  out.subtree_live =
-      ComputeSubtreeLiveness(topo, out.edge_expected, out.edge_delivered);
-  for (ExecutionResult& r : out.per_query) {
-    FinalizeSubtreeLiveness(topo, &r);
-  }
-
   // Root demux: each query keeps exactly its own flow, sorted and trimmed
   // to its own k.
   for (int q = 0; q < num_queries; ++q) {

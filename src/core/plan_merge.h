@@ -65,7 +65,6 @@ struct SuperplanResult {
   bool degraded = false;
   std::vector<char> edge_expected;
   std::vector<char> edge_delivered;
-  std::vector<char> subtree_live;
 
   /// Sharing wins: unicasts that served more than one query, and value
   /// slots saved because a reading wanted by several queries crossed an

@@ -189,8 +189,6 @@ ExecutionResult ProofExecutor::ExecutePhase1(const std::vector<double>& truth,
     }
   }
 
-  FinalizeSubtreeLiveness(topo, &result);
-
   result.collection_energy_mj = collection;
   result.arrived = retrieved_[topo.root()];
   result.answer = result.arrived;

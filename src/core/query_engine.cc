@@ -245,10 +245,9 @@ Result<bool> QueryEngine::MaybeHeal(TickResult* result) {
   }
   if (injecting_) injector_.Remap(new_id, new_n);
 
-  // Drain the old simulator's ledger while the topology it references is
-  // still alive: replacing owned_topology_ below frees the tree a
-  // previous rebuild installed, and TakeStats resizes per-node ledgers
-  // off topology_->num_nodes().
+  // Drain the old simulator's ledger into radio_totals_ before sim_ is
+  // replaced below: the rebuilt simulator starts with an empty ledger, so
+  // anything left undrained would drop out of the cumulative totals.
   TakeRadioStats();
   owned_topology_ =
       std::make_unique<net::Topology>(std::move(rebuilt->topology));

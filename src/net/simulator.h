@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "src/net/energy_model.h"
 #include "src/net/failure.h"
@@ -17,16 +17,6 @@
 
 namespace prospector {
 namespace net {
-
-/// Per-edge traffic ledger entry; the edge is named by its child endpoint
-/// (every tree edge has exactly one). Unicast traffic only — broadcasts
-/// have no single edge and are accounted node-side.
-struct EdgeTraffic {
-  int messages = 0;  ///< transmission attempts (lossy mode counts retries)
-  int retries = 0;   ///< lossy mode: re-transmissions after the first try
-  int drops = 0;     ///< messages abandoned (retry budget / dead endpoint)
-  double energy_mj = 0.0;
-};
 
 /// Aggregate accounting of one or more simulated phases.
 struct TransmissionStats {
@@ -43,10 +33,6 @@ struct TransmissionStats {
   int duplicates = 0;  ///< extra delivered copies (retransmit after lost ACK)
   int corrupted = 0;   ///< delivered but mangled; also counted in `drops`
   int delayed = 0;     ///< deferred deliveries; values counted in values_lost
-  /// Energy attributed per node (sender side of each message).
-  std::vector<double> per_node_energy_mj;
-  /// Message/retry/drop ledger per tree edge (indexed by child endpoint).
-  std::vector<EdgeTraffic> per_edge;
 
   void Accumulate(const TransmissionStats& other) {
     total_energy_mj += other.total_energy_mj;
@@ -61,21 +47,6 @@ struct TransmissionStats {
     duplicates += other.duplicates;
     corrupted += other.corrupted;
     delayed += other.delayed;
-    if (per_node_energy_mj.size() < other.per_node_energy_mj.size()) {
-      per_node_energy_mj.resize(other.per_node_energy_mj.size(), 0.0);
-    }
-    for (size_t i = 0; i < other.per_node_energy_mj.size(); ++i) {
-      per_node_energy_mj[i] += other.per_node_energy_mj[i];
-    }
-    if (per_edge.size() < other.per_edge.size()) {
-      per_edge.resize(other.per_edge.size());
-    }
-    for (size_t i = 0; i < other.per_edge.size(); ++i) {
-      per_edge[i].messages += other.per_edge[i].messages;
-      per_edge[i].retries += other.per_edge[i].retries;
-      per_edge[i].drops += other.per_edge[i].drops;
-      per_edge[i].energy_mj += other.per_edge[i].energy_mj;
-    }
   }
 };
 
@@ -207,8 +178,6 @@ class NetworkSimulator {
       std::fprintf(stderr, "NetworkSimulator: %s\n", valid.ToString().c_str());
       std::abort();
     }
-    stats_.per_node_energy_mj.assign(topology->num_nodes(), 0.0);
-    stats_.per_edge.assign(topology->num_nodes(), EdgeTraffic{});
   }
 
   const Topology& topology() const { return *topology_; }
@@ -334,21 +303,14 @@ class NetworkSimulator {
     const int transmissions =
         (lossy_.enabled ? out.attempts : 1) + extra_copies;
     stats_.unicast_messages += transmissions;
-    stats_.per_node_energy_mj[child_edge] += out.energy_mj;
-    EdgeTraffic& edge = stats_.per_edge[child_edge];
-    edge.messages += transmissions;
-    edge.retries += out.attempts - 1;
-    edge.energy_mj += out.energy_mj;
     if (!out.delivered) {
       ++stats_.drops;
-      ++edge.drops;
       stats_.values_lost += num_values;
     } else if (out.corrupted) {
       // Accounted as a drop (the protocol layer must reject the payload),
       // tallied separately so the corruption rate stays observable.
       ++stats_.corrupted;
       ++stats_.drops;
-      ++edge.drops;
       stats_.values_lost += num_values;
       PROSPECTOR_FLIGHT(kFaultInject, "sim.adversary.corrupt", -1,
                         child_edge, num_values);
@@ -396,18 +358,16 @@ class NetworkSimulator {
                         energy_.per_byte_mj * static_cast<double>(extra_bytes);
     stats_.total_energy_mj += cost;
     ++stats_.broadcast_messages;
-    stats_.per_node_energy_mj[node] += cost;
     return cost;
   }
 
-  /// Charges one sensor measurement at `node` (Section 4.4); free when
+  /// Charges one sensor measurement at a node (Section 4.4); free when
   /// the energy model sets no acquisition cost.
-  double ChargeAcquisition(int node) {
+  double ChargeAcquisition(int /*node*/) {
     const double cost = energy_.acquisition_mj;
     if (cost > 0.0) {
       stats_.total_energy_mj += cost;
       ++stats_.acquisitions;
-      stats_.per_node_energy_mj[node] += cost;
     }
     return cost;
   }
@@ -427,19 +387,11 @@ class NetworkSimulator {
 
   /// Clears the ledger (e.g. between the distribution accounting and the
   /// collection phase, or between query epochs).
-  void ResetStats() {
-    stats_ = TransmissionStats{};
-    stats_.per_node_energy_mj.assign(topology_->num_nodes(), 0.0);
-    stats_.per_edge.assign(topology_->num_nodes(), EdgeTraffic{});
-  }
+  void ResetStats() { stats_ = TransmissionStats{}; }
 
   /// Takes the current ledger and resets it — convenient for per-phase
   /// breakdowns.
-  TransmissionStats TakeStats() {
-    TransmissionStats out = stats_;
-    ResetStats();
-    return out;
-  }
+  TransmissionStats TakeStats() { return std::exchange(stats_, {}); }
 
  private:
   double EffectiveProbability(int child_edge) const {

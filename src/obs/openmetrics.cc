@@ -15,6 +15,8 @@ bool NameChar(char c) {
 }  // namespace
 
 std::string FormatDouble(double v) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   return buf;

@@ -14,7 +14,8 @@ namespace obs {
 std::string OpenMetricsName(const std::string& dotted);
 
 /// Spells a sample value the way every exposition in this repo does
-/// ("%.9g"), so equal values render byte-identically across families.
+/// ("%.9g"; non-finite values as OpenMetrics' "NaN", "+Inf" and "-Inf"),
+/// so equal values render byte-identically across families.
 std::string FormatDouble(double v);
 
 /// Appends a family's "# TYPE <name> <type>" line.

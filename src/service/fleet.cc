@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "src/obs/obs.h"
@@ -27,6 +28,7 @@ FleetService::FleetService(FleetOptions options)
       quota_(options.default_quota) {}
 
 void FleetService::SetTenantQuota(int tenant_id, TenantQuota quota) {
+  std::lock_guard<std::mutex> lock(mu_);
   quota_.SetQuota(tenant_id, quota);
 }
 
@@ -45,22 +47,8 @@ int FleetService::AddDeployment(const net::Topology* topology,
   return id;
 }
 
-FleetService::QueryRecord* FleetService::FindRecord(int query_id) {
-  if (query_id < 0) return nullptr;
-  IndexShard& shard = ShardFor(query_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.records.find(query_id);
-  // Records are never erased, so the pointer stays valid after unlock.
-  return it != shard.records.end() ? it->second.get() : nullptr;
-}
-
-const FleetService::QueryRecord* FleetService::FindRecord(int query_id) const {
-  return const_cast<FleetService*>(this)->FindRecord(query_id);
-}
-
 void FleetService::CountReject(int tenant_id, AdmitReject reject) {
-  rejects_by_kind_[static_cast<size_t>(reject)].fetch_add(
-      1, std::memory_order_relaxed);
+  ++rejects_by_kind_[static_cast<size_t>(reject)];
   switch (reject) {
     case AdmitReject::kNone:
       break;
@@ -86,6 +74,7 @@ void FleetService::CountReject(int tenant_id, AdmitReject reject) {
 
 AdmitQueryResponse FleetService::Admit(const AdmitQueryRequest& request) {
   AdmitQueryResponse resp;
+  std::lock_guard<std::mutex> lock(mu_);
   if (request.deployment_id < 0 ||
       request.deployment_id >= num_deployments()) {
     resp.reject = AdmitReject::kUnknownDeployment;
@@ -126,42 +115,30 @@ AdmitQueryResponse FleetService::Admit(const AdmitQueryRequest& request) {
     return resp;
   }
 
-  auto record = std::make_unique<QueryRecord>();
-  record->deployment_id = request.deployment_id;
-  record->tenant_id = request.tenant_id;
-  record->budget_mj = request.spec.energy_budget_mj;
-  record->spec = request.spec;
-  record->spec.tenant_id = request.tenant_id;
-
-  {
-    // Capacity check, record insertion, and enqueue are one critical
-    // section, so a queued admit always has its record and the pending
-    // cap is exact under concurrent admission.
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (options_.max_pending_requests > 0 &&
-        queue_.size() >= options_.max_pending_requests) {
-      quota_.Release(request.tenant_id, request.spec.energy_budget_mj);
-      resp.reject = AdmitReject::kQueueFull;
-      resp.message = "admission queue at capacity (" +
-                     std::to_string(options_.max_pending_requests) +
-                     " pending requests)";
-      CountReject(request.tenant_id, resp.reject);
-      return resp;
-    }
-    const int id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
-    record->query_id = id;
-    resp.query_id = id;
-    {
-      IndexShard& shard = ShardFor(id);
-      std::lock_guard<std::mutex> shard_lock(shard.mu);
-      shard.records.emplace(id, std::move(record));
-    }
-    queue_.push_back({PendingRequest::kAdmit, resp.query_id});
-    PROSPECTOR_GAUGE_SET("service.pending_requests",
-                         static_cast<double>(queue_.size()));
+  if (options_.max_pending_requests > 0 &&
+      queue_.size() >= options_.max_pending_requests) {
+    quota_.Release(request.tenant_id, request.spec.energy_budget_mj);
+    resp.reject = AdmitReject::kQueueFull;
+    resp.message = "admission queue at capacity (" +
+                   std::to_string(options_.max_pending_requests) +
+                   " pending requests)";
+    CountReject(request.tenant_id, resp.reject);
+    return resp;
   }
 
-  admits_.fetch_add(1, std::memory_order_relaxed);
+  resp.query_id = static_cast<int>(records_.size());
+  QueryRecord& record = records_.emplace_back();
+  record.deployment_id = request.deployment_id;
+  record.tenant_id = request.tenant_id;
+  record.budget_mj = request.spec.energy_budget_mj;
+  PendingRequest& pending = queue_.emplace_back();
+  pending.query_id = resp.query_id;
+  pending.spec = request.spec;
+  pending.spec.tenant_id = request.tenant_id;
+  PROSPECTOR_GAUGE_SET("service.pending_requests",
+                       static_cast<double>(queue_.size()));
+
+  ++admits_;
   PROSPECTOR_COUNTER_ADD("service.admits", 1);
   PROSPECTOR_FLIGHT(kNote, "service.admit", resp.query_id,
                     request.deployment_id, request.tenant_id);
@@ -171,35 +148,32 @@ AdmitQueryResponse FleetService::Admit(const AdmitQueryRequest& request) {
 
 RetireQueryResponse FleetService::Retire(const RetireQueryRequest& request) {
   RetireQueryResponse resp;
-  QueryRecord* record = FindRecord(request.query_id);
-  if (record == nullptr) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (request.query_id < 0 ||
+      static_cast<size_t>(request.query_id) >= records_.size()) {
     resp.message = "unknown query id " + std::to_string(request.query_id);
     return resp;
   }
-  {
-    std::lock_guard<std::mutex> lock(record->mu);
-    if (request.tenant_id >= 0 && request.tenant_id != record->tenant_id) {
-      resp.message = "query " + std::to_string(request.query_id) +
-                     " belongs to tenant " +
-                     std::to_string(record->tenant_id);
-      return resp;
-    }
-    if (record->phase == QueryPhase::kRetireQueued ||
-        record->phase == QueryPhase::kRetired) {
-      resp.message = "query " + std::to_string(request.query_id) +
-                     " already retired";
-      return resp;
-    }
-    record->phase = QueryPhase::kRetireQueued;
+  QueryRecord& record = records_[static_cast<size_t>(request.query_id)];
+  if (request.tenant_id >= 0 && request.tenant_id != record.tenant_id) {
+    resp.message = "query " + std::to_string(request.query_id) +
+                   " belongs to tenant " + std::to_string(record.tenant_id);
+    return resp;
   }
-  {
-    // Retirements bypass the admission cap — they shrink the fleet.
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    queue_.push_back({PendingRequest::kRetire, request.query_id});
+  if (record.phase == QueryPhase::kRetireQueued ||
+      record.phase == QueryPhase::kRetired) {
+    resp.message =
+        "query " + std::to_string(request.query_id) + " already retired";
+    return resp;
   }
+  record.phase = QueryPhase::kRetireQueued;
+  // Retirements bypass the admission cap — they shrink the fleet.
+  PendingRequest& pending = queue_.emplace_back();
+  pending.kind = PendingRequest::kRetire;
+  pending.query_id = request.query_id;
   PROSPECTOR_COUNTER_ADD("service.retire_requests", 1);
   PROSPECTOR_FLIGHT(kNote, "service.retire", request.query_id,
-                    record->deployment_id, record->tenant_id);
+                    record.deployment_id, record.tenant_id);
   resp.retired = true;
   resp.message = "retires at the next epoch boundary";
   return resp;
@@ -207,70 +181,70 @@ RetireQueryResponse FleetService::Retire(const RetireQueryRequest& request) {
 
 PollAnswersResponse FleetService::Poll(const PollAnswersRequest& request) {
   PollAnswersResponse resp;
-  QueryRecord* record = FindRecord(request.query_id);
-  if (record == nullptr) return resp;
-  std::lock_guard<std::mutex> lock(record->mu);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (request.query_id < 0 ||
+      static_cast<size_t>(request.query_id) >= records_.size()) {
+    return resp;
+  }
+  QueryRecord& record = records_[static_cast<size_t>(request.query_id)];
   resp.known_query = true;
-  resp.active = record->phase != QueryPhase::kRetired;
-  resp.dropped = record->dropped;
-  record->dropped = 0;
-  size_t take = record->ring.size();
-  if (request.max_answers > 0) {
-    take = std::min(take, static_cast<size_t>(request.max_answers));
+  resp.active = record.phase != QueryPhase::kRetired;
+  resp.dropped = record.dropped;
+  record.dropped = 0;
+  if (request.max_answers <= 0 ||
+      static_cast<size_t>(request.max_answers) >= record.ring.size()) {
+    resp.answers.swap(record.ring);  // drain all: the record keeps no heap
+    return resp;
   }
-  resp.answers.reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    resp.answers.push_back(std::move(record->ring.front()));
-    record->ring.pop_front();
-  }
+  const auto end = record.ring.begin() + request.max_answers;
+  resp.answers.assign(std::make_move_iterator(record.ring.begin()),
+                      std::make_move_iterator(end));
+  record.ring.erase(record.ring.begin(), end);
   return resp;
 }
 
 void FleetService::ApplyPending(FleetEpochReport* report) {
-  std::deque<PendingRequest> batch;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    batch.swap(queue_);
-    PROSPECTOR_GAUGE_SET("service.pending_requests", 0.0);
-  }
-  for (const PendingRequest& req : batch) {
-    QueryRecord* record = FindRecord(req.query_id);
-    if (record == nullptr) continue;  // unreachable: records never erase
-    std::lock_guard<std::mutex> lock(record->mu);
-    Deployment& dep = *deployments_[static_cast<size_t>(record->deployment_id)];
+  PROSPECTOR_GAUGE_SET("service.pending_requests", 0.0);
+  for (const PendingRequest& req : queue_) {
+    QueryRecord& record = records_[static_cast<size_t>(req.query_id)];
+    Deployment& dep = *deployments_[static_cast<size_t>(record.deployment_id)];
     if (req.kind == PendingRequest::kAdmit) {
-      auto added = dep.engine->AddQueryWithId(req.query_id, record->spec);
+      auto added = dep.engine->AddQueryWithId(req.query_id, req.spec);
       if (!added.ok()) {
         // Cannot happen (fleet ids are unique), but fail the query loudly
         // rather than strand its reservation.
-        record->phase = QueryPhase::kRetired;
-        quota_.Release(record->tenant_id, record->budget_mj);
+        record.phase = QueryPhase::kRetired;
+        quota_.Release(record.tenant_id, record.budget_mj);
         PROSPECTOR_COUNTER_ADD("service.admit_apply_failures", 1);
         continue;
       }
       // A retire queued behind this admit keeps the kRetireQueued phase;
       // it applies later in this same batch.
-      if (record->phase == QueryPhase::kPending) {
-        record->phase = QueryPhase::kActive;
+      if (record.phase == QueryPhase::kPending) {
+        record.phase = QueryPhase::kActive;
       }
       ++report->applied_admits;
     } else {
-      if (record->phase != QueryPhase::kRetireQueued) continue;
+      if (record.phase != QueryPhase::kRetireQueued) continue;
       dep.engine->RemoveQuery(req.query_id);
-      record->phase = QueryPhase::kRetired;
-      quota_.Release(record->tenant_id, record->budget_mj);
-      retires_.fetch_add(1, std::memory_order_relaxed);
+      record.phase = QueryPhase::kRetired;
+      quota_.Release(record.tenant_id, record.budget_mj);
+      ++retires_;
       PROSPECTOR_COUNTER_ADD("service.retires", 1);
       ++report->applied_retires;
     }
   }
+  queue_.clear();
 }
 
 Result<FleetEpochReport> FleetService::RunEpoch() {
-  const long long epoch = epoch_.fetch_add(1, std::memory_order_acq_rel);
   FleetEpochReport report;
-  report.epoch = epoch;
-  ApplyPending(&report);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    report.epoch = epoch_++;
+    ApplyPending(&report);
+  }
+  const long long epoch = report.epoch;
 
   using TickResult = core::QueryEngine::TickResult;
   const int n = num_deployments();
@@ -293,6 +267,7 @@ Result<FleetEpochReport> FleetService::RunEpoch() {
 
   // Serial demux in deployment order: answers into poll rings, realized
   // energy onto tenant meters.
+  std::lock_guard<std::mutex> lock(mu_);
   for (int i = 0; i < n; ++i) {
     Result<TickResult>& tick = ticks[static_cast<size_t>(i)];
     if (!tick.ok()) {
@@ -301,32 +276,31 @@ Result<FleetEpochReport> FleetService::RunEpoch() {
                               std::to_string(epoch) + ": " +
                               tick.status().ToString());
     }
-    const TickResult& result = tick.value();
+    TickResult& result = tick.value();
     report.energy_mj += result.energy_mj;
     if (result.degraded) ++report.degraded_deployments;
     if (result.rebuilt) ++report.rebuilt_deployments;
-    for (const auto& qr : result.per_query) {
-      QueryRecord* record = FindRecord(qr.query_id);
-      if (record == nullptr) continue;  // directly-registered query
-      quota_.MeterEnergy(record->tenant_id, qr.energy_mj);
+    // Every query an engine ticks was admitted here, so its id indexes
+    // records_.
+    for (auto& qr : result.per_query) {
+      QueryRecord& record = records_[static_cast<size_t>(qr.query_id)];
+      quota_.MeterEnergy(record.tenant_id, qr.energy_mj);
       if (qr.kind != core::QueryEngine::QueryEpochKind::kQuery &&
           qr.kind != core::QueryEngine::QueryEpochKind::kAudit) {
         continue;  // bootstrap/explore epochs carry no answer
       }
-      std::lock_guard<std::mutex> lock(record->mu);
       if (options_.answer_ring_capacity > 0 &&
-          record->ring.size() >= options_.answer_ring_capacity) {
-        record->ring.pop_front();
-        ++record->dropped;
+          record.ring.size() >= options_.answer_ring_capacity) {
+        record.ring.erase(record.ring.begin());
+        ++record.dropped;
       }
-      AnswerRecord answer;
+      AnswerRecord& answer = record.ring.emplace_back();
       answer.epoch = epoch;
       answer.kind = qr.kind;
-      answer.answer = qr.answer;
+      answer.answer = std::move(qr.answer);
       answer.recall = qr.recall;
       answer.energy_mj = qr.energy_mj;
       answer.health = qr.health;
-      record->ring.push_back(std::move(answer));
     }
   }
 
@@ -350,20 +324,18 @@ Result<FleetEpochReport> FleetService::RunEpochs(int n) {
 
 FleetStatus FleetService::Snapshot() const {
   FleetStatus s;
-  s.epoch = epoch_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(mu_);
+  s.epoch = epoch_;
   s.deployments = num_deployments();
-  s.admits = admits_.load(std::memory_order_relaxed);
-  s.retires = retires_.load(std::memory_order_relaxed);
+  s.admits = admits_;
+  s.retires = retires_;
+  s.rejects_by_kind = rejects_by_kind_;
   for (int i = 0; i < kAdmitRejectKinds; ++i) {
-    const long long r =
-        rejects_by_kind_[static_cast<size_t>(i)].load(std::memory_order_relaxed);
-    s.rejects_by_kind[static_cast<size_t>(i)] = r;
-    if (i != static_cast<int>(AdmitReject::kNone)) s.rejects += r;
+    if (i != static_cast<int>(AdmitReject::kNone)) {
+      s.rejects += rejects_by_kind_[static_cast<size_t>(i)];
+    }
   }
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    s.pending_requests = static_cast<int>(queue_.size());
-  }
+  s.pending_requests = static_cast<int>(queue_.size());
   s.per_deployment.reserve(deployments_.size());
   for (const auto& dep : deployments_) {
     DeploymentStatus d;

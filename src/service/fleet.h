@@ -2,13 +2,10 @@
 #define PROSPECTOR_SERVICE_FLEET_H_
 
 #include <array>
-#include <atomic>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/query_engine.h"
@@ -67,11 +64,14 @@ struct FleetEpochReport {
 /// Query ids are allocated from a single fleet-wide counter and are never
 /// reused, on any deployment, ever (QueryRegistry burns retired ids).
 ///
-/// Threading: Admit(), Retire() and Poll() may run on concurrent caller
-/// threads; they meet only at the request queue and the sharded query
-/// index. RunEpoch(), Snapshot() and HealthReport() must not overlap one
-/// another: Snapshot() reads engine epochs and energy totals without
-/// locks.
+/// Threading: one mutex guards the service's own state (query records,
+/// request queue, quota ledger, counters). Admit(), Retire(), Poll() and
+/// SetTenantQuota() may run on concurrent caller threads, including
+/// during RunEpoch(); RunEpoch() holds the lock only to apply the queue
+/// and to demultiplex answers, never while deployments tick. RunEpoch(),
+/// Snapshot() and HealthReport() must not overlap one another: they read
+/// engine state, which only RunEpoch() writes. AddDeployment() must not
+/// overlap any other call.
 class FleetService {
  public:
   /// Produces one epoch's ground-truth readings for a deployment. Each
@@ -117,32 +117,23 @@ class FleetService {
   std::vector<core::QueryHealth> HealthReport() const;
 
   int num_deployments() const { return static_cast<int>(deployments_.size()); }
-  long long epochs_run() const { return epoch_.load(std::memory_order_acquire); }
   /// Direct read access to one deployment's engine (aborts on bad id).
   const core::QueryEngine& deployment(int deployment_id) const;
 
  private:
   enum class QueryPhase { kPending, kActive, kRetireQueued, kRetired };
 
-  /// Service-side record of one query: routing (deployment, tenant), the
-  /// spec awaiting activation, and the answer ring Poll() drains.
+  /// Service-side record of one query, at index query_id of `records_`:
+  /// routing (deployment, tenant), the reserved budget, and the answer
+  /// ring Poll() drains. A drain-all Poll() hands the whole ring to the
+  /// response, so a drained record holds no heap memory.
   struct QueryRecord {
-    int query_id = -1;
     int deployment_id = -1;
     int tenant_id = -1;
     double budget_mj = 0.0;
-    core::QuerySpec spec;
-    /// Guards phase + ring: Poll() runs on caller threads while the
-    /// scheduler's serial demux appends.
-    std::mutex mu;
     QueryPhase phase = QueryPhase::kPending;
-    std::deque<AnswerRecord> ring;
     long long dropped = 0;
-  };
-
-  struct IndexShard {
-    mutable std::mutex mu;
-    std::unordered_map<int, std::unique_ptr<QueryRecord>> records;
+    std::vector<AnswerRecord> ring;  ///< oldest first
   };
 
   struct Deployment {
@@ -161,39 +152,30 @@ class FleetService {
   struct PendingRequest {
     enum Kind { kAdmit, kRetire } kind = kAdmit;
     int query_id = -1;
+    core::QuerySpec spec;  ///< admits only: what activates
   };
 
-  /// Shards of the query index (query id -> record), so concurrent
-  /// Admit/Retire/Poll callers on different ids rarely share a lock.
-  static constexpr size_t kIndexShards = 64;
-
-  IndexShard& ShardFor(int query_id) {
-    return index_[static_cast<size_t>(query_id) % kIndexShards];
-  }
-  QueryRecord* FindRecord(int query_id);
-  const QueryRecord* FindRecord(int query_id) const;
+  // The helpers below run with mu_ held.
   void CountReject(int tenant_id, AdmitReject reject);
-  /// Applies queued requests in submission order (serial, epoch boundary).
+  /// Applies queued requests in submission order (epoch boundary).
   void ApplyPending(FleetEpochReport* report);
 
   FleetOptions options_;
   util::ThreadPool pool_;
-  QuotaLedger quota_;
   std::vector<std::unique_ptr<Deployment>> deployments_;
 
-  /// Fleet-wide query id allocator; ids are never reused.
-  std::atomic<int> next_query_id_{0};
-  std::atomic<long long> epoch_{0};
-
-  std::array<IndexShard, kIndexShards> index_;
-
-  mutable std::mutex queue_mu_;
-  std::deque<PendingRequest> queue_;
-
+  /// Guards every field below.
+  mutable std::mutex mu_;
+  QuotaLedger quota_;
+  /// Indexed by query id. Ids come from records_.size(), so they start at
+  /// 0, are dense, and are never reused; records are never erased.
+  std::vector<QueryRecord> records_;
+  std::vector<PendingRequest> queue_;
+  long long epoch_ = 0;
   // Fleet-lifetime counters for Snapshot(); also mirrored to obs.
-  std::atomic<long long> admits_{0};
-  std::atomic<long long> retires_{0};
-  std::array<std::atomic<long long>, kAdmitRejectKinds> rejects_by_kind_{};
+  long long admits_ = 0;
+  long long retires_ = 0;
+  std::array<long long, kAdmitRejectKinds> rejects_by_kind_{};
 };
 
 }  // namespace service

@@ -4,19 +4,11 @@ namespace prospector {
 namespace service {
 
 void QuotaLedger::SetQuota(int tenant_id, TenantQuota quota) {
-  std::lock_guard<std::mutex> lock(mu_);
   quotas_[tenant_id] = quota;
-}
-
-TenantQuota QuotaLedger::QuotaFor(int tenant_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = quotas_.find(tenant_id);
-  return it != quotas_.end() ? it->second : default_;
 }
 
 AdmitReject QuotaLedger::Reserve(int tenant_id, double budget_mj,
                                  std::string* message) {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto qit = quotas_.find(tenant_id);
   const TenantQuota quota = qit != quotas_.end() ? qit->second : default_;
   Usage& usage = usage_[tenant_id];
@@ -48,7 +40,6 @@ AdmitReject QuotaLedger::Reserve(int tenant_id, double budget_mj,
 }
 
 void QuotaLedger::Release(int tenant_id, double budget_mj) {
-  std::lock_guard<std::mutex> lock(mu_);
   Usage& usage = usage_[tenant_id];
   if (usage.standing > 0) --usage.standing;
   usage.budget_mj -= budget_mj;
@@ -56,18 +47,10 @@ void QuotaLedger::Release(int tenant_id, double budget_mj) {
 }
 
 void QuotaLedger::MeterEnergy(int tenant_id, double energy_mj) {
-  std::lock_guard<std::mutex> lock(mu_);
   usage_[tenant_id].energy_mj += energy_mj;
 }
 
-QuotaLedger::Usage QuotaLedger::UsageFor(int tenant_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = usage_.find(tenant_id);
-  return it != usage_.end() ? it->second : Usage{};
-}
-
 std::vector<std::pair<int, QuotaLedger::Usage>> QuotaLedger::AllUsage() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return {usage_.begin(), usage_.end()};
 }
 

@@ -2,7 +2,6 @@
 #define PROSPECTOR_SERVICE_QUOTA_H_
 
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,10 +22,11 @@ struct TenantQuota {
 
 /// Check-and-reserve accounting behind admission control. Reservations
 /// are taken synchronously at Admit() time — before the query activates —
-/// so concurrent admissions cannot both squeeze under a cap; they are
-/// released when the retirement applies at an epoch boundary.
+/// and released when the retirement applies at an epoch boundary.
 ///
-/// The ledger is pure bookkeeping: obs metering (service.rejects.<kind>
+/// The ledger takes no lock: FleetService makes every call under its one
+/// service lock, so concurrent admissions cannot both squeeze under a
+/// cap. It is pure bookkeeping: obs metering (service.rejects.<kind>
 /// counters etc.) stays in FleetService so the ledger is trivially
 /// testable.
 class QuotaLedger {
@@ -36,7 +36,6 @@ class QuotaLedger {
 
   /// Per-tenant override of the default quota.
   void SetQuota(int tenant_id, TenantQuota quota);
-  TenantQuota QuotaFor(int tenant_id) const;
 
   /// Admission check: reserves one standing query and `budget_mj` of the
   /// tenant's energy cap, or reports the typed reason it cannot. On
@@ -57,12 +56,10 @@ class QuotaLedger {
     long long rejects = 0;
     double energy_mj = 0.0;
   };
-  Usage UsageFor(int tenant_id) const;
   /// Every tenant ever seen, ascending id.
   std::vector<std::pair<int, Usage>> AllUsage() const;
 
  private:
-  mutable std::mutex mu_;
   TenantQuota default_;
   std::map<int, TenantQuota> quotas_;
   std::map<int, Usage> usage_;

@@ -305,9 +305,11 @@ TEST(CollectionExecutorFaultTest, DeadNodeDarkensItsSubtreeAndFlagsResult) {
 
   EXPECT_TRUE(r.degraded);
   EXPECT_GT(r.values_lost, 0);
-  EXPECT_TRUE(r.subtree_live[1]);
-  EXPECT_FALSE(r.subtree_live[2]);
-  EXPECT_FALSE(r.subtree_live[3]);
+  // The watchdog's evidence: the edges above the dead node and its child
+  // went dark; the edge above node 1 delivered.
+  EXPECT_TRUE(r.edge_expected[1] && r.edge_delivered[1]);
+  EXPECT_TRUE(r.edge_expected[2] && !r.edge_delivered[2]);
+  EXPECT_TRUE(r.edge_expected[3] && !r.edge_delivered[3]);
   // Only reachable nodes appear in the answer.
   for (const Reading& x : r.answer) EXPECT_LT(x.node, 2);
 
@@ -338,7 +340,6 @@ TEST(ProofExecutorFaultTest, DroppedListsUnderClaimTheProof) {
   EXPECT_EQ(phase1.proven_count, 0);
   EXPECT_EQ(phase1.edge_expected[3], 1);
   EXPECT_EQ(phase1.edge_delivered[3], 0);
-  EXPECT_FALSE(phase1.subtree_live[3]);
 
   ExecutionResult phase2 = ex.ExecuteMopUp();
   EXPECT_TRUE(phase2.degraded);

@@ -57,7 +57,6 @@ TEST(SimulatorTest, LedgerAccounting) {
   EXPECT_NEAR(st.total_energy_mj,
               e.MessageCost(2) + e.MessageCostWithExtra(0, 5) + e.BroadcastCost(),
               1e-12);
-  EXPECT_NEAR(st.per_node_energy_mj[1], e.MessageCost(2), 1e-12);
 
   TransmissionStats taken = sim.TakeStats();
   EXPECT_EQ(taken.unicast_messages, 2);
@@ -94,7 +93,7 @@ TEST(SimulatorTest, AcquisitionLedger) {
   NetworkSimulator sim(&topo, e);
   EXPECT_DOUBLE_EQ(sim.ChargeAcquisition(1), 0.7);
   EXPECT_EQ(sim.stats().acquisitions, 1);
-  EXPECT_DOUBLE_EQ(sim.stats().per_node_energy_mj[1], 0.7);
+  EXPECT_DOUBLE_EQ(sim.stats().total_energy_mj, 0.7);
 }
 
 TEST(SimulatorTest, StatsAccumulate) {
@@ -130,33 +129,6 @@ TEST(SimulatorTest, NoFailuresByDefault) {
   NetworkSimulator sim(&topo, EnergyModel{});
   for (int i = 0; i < 100; ++i) sim.Unicast(1, 1);
   EXPECT_EQ(sim.stats().reroutes, 0);
-}
-
-TEST(TransmissionStatsTest, AccumulateGrowsPerNodeEnergyToTheLargerLedger) {
-  TransmissionStats small;
-  small.per_node_energy_mj = {1.0, 2.0};
-  TransmissionStats big;
-  big.per_node_energy_mj = {0.5, 0.5, 3.0, 4.0};
-  TransmissionStats a = small;
-  a.Accumulate(big);
-  ASSERT_EQ(a.per_node_energy_mj.size(), 4u);
-  EXPECT_DOUBLE_EQ(a.per_node_energy_mj[0], 1.5);
-  EXPECT_DOUBLE_EQ(a.per_node_energy_mj[1], 2.5);
-  EXPECT_DOUBLE_EQ(a.per_node_energy_mj[2], 3.0);
-  EXPECT_DOUBLE_EQ(a.per_node_energy_mj[3], 4.0);
-}
-
-TEST(TransmissionStatsTest, AccumulateKeepsTailWhenOtherLedgerIsSmaller) {
-  TransmissionStats big;
-  big.per_node_energy_mj = {0.5, 0.5, 3.0, 4.0};
-  TransmissionStats small;
-  small.per_node_energy_mj = {1.0, 2.0};
-  big.Accumulate(small);
-  ASSERT_EQ(big.per_node_energy_mj.size(), 4u);
-  EXPECT_DOUBLE_EQ(big.per_node_energy_mj[0], 1.5);
-  EXPECT_DOUBLE_EQ(big.per_node_energy_mj[1], 2.5);
-  EXPECT_DOUBLE_EQ(big.per_node_energy_mj[2], 3.0);
-  EXPECT_DOUBLE_EQ(big.per_node_energy_mj[3], 4.0);
 }
 
 TEST(SimulatorTest, ReliableModeReroutesAndCountsThem) {

@@ -1,16 +1,22 @@
 // FleetService: request/response lifecycle, typed quota rejections,
 // deterministic epoch scheduling (parallel == serial, bit-identical, with
 // audited queries planning and reusing proof plans inside the parallel
-// batch), and tagged health rollups. The Parallel*/Fleet* cases run under
-// TSan in the sanitize CI arm.
+// batch), concurrent callers beside RunEpoch, and tagged health rollups.
+// Every case runs under TSan in the tsan CI job (its -R matches Fleet).
 #include "src/service/fleet.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/health.h"
@@ -390,6 +396,122 @@ TEST(FleetServiceTest, FleetParallelAdmissionIsThreadSafe) {
   EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());  // all distinct
   ASSERT_TRUE(fleet->RunEpoch().ok());
   EXPECT_EQ(fleet->Snapshot().standing_queries, kAdmits);
+}
+
+TEST(FleetServiceTest, FleetCallersRaceEpochsAtTheServiceLock) {
+  // Three pool threads admit, poll and retire on their own tenants while
+  // the calling thread runs epochs, so Poll and Retire overlap the queue
+  // apply and the answer demux.
+  constexpr int kCallers = 3;
+  constexpr int kEpochs = 20;
+  constexpr size_t kStandingPerCaller = 3;
+  FleetWorld world(10, /*deployments=*/2, /*nodes=*/16);
+  FleetOptions options;
+  options.scheduler_threads = 2;
+  auto fleet = world.MakeFleet(options);
+
+  struct CallerLog {
+    std::vector<int> admitted;
+    int retired = 0;
+    bool all_known = true;
+  };
+  std::vector<CallerLog> logs(kCallers);
+  std::array<std::atomic<int>, kCallers> iterations{};
+  std::atomic<bool> stop{false};
+  util::ThreadPool pool(1 + kCallers);
+  pool.ParallelFor(1 + kCallers, [&](int begin, int end) {
+    for (int part = begin; part < end; ++part) {
+      if (part == 0) {  // the calling thread
+        std::array<int, kCallers> seen{};
+        for (int e = 0; e < kEpochs; ++e) {
+          // Every caller finishes at least one more iteration before each
+          // epoch, so the epochs overlap live callers on any schedule.
+          for (int c = 0; c < kCallers; ++c) {
+            while (iterations[c].load() <= seen[c]) std::this_thread::yield();
+            seen[c] = iterations[c].load();
+          }
+          auto report = fleet->RunEpoch();
+          EXPECT_TRUE(report.ok()) << report.status().ToString();
+        }
+        stop = true;
+        continue;
+      }
+      CallerLog& log = logs[static_cast<size_t>(part - 1)];
+      const int tenant = part;
+      std::deque<int> standing;
+      for (int i = 0; !stop.load(); ++i) {
+        if (standing.size() < kStandingPerCaller) {
+          const AdmitQueryResponse admit =
+              fleet->Admit(MakeAdmit(i % 2, tenant));
+          if (admit.admitted) {
+            log.admitted.push_back(admit.query_id);
+            standing.push_back(admit.query_id);
+          }
+        } else {
+          const int id = standing.front();
+          standing.pop_front();
+          if (fleet->Retire({id, tenant}).retired) ++log.retired;
+          log.all_known &= fleet->Poll({id, 0}).known_query;
+        }
+        for (const int id : standing) {
+          log.all_known &= fleet->Poll({id, 0}).known_query;
+        }
+        ++iterations[static_cast<size_t>(part - 1)];
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+  });
+  // One more boundary applies whatever the callers queued last.
+  ASSERT_TRUE(fleet->RunEpoch().ok());
+
+  std::vector<int> ids;
+  long long admitted = 0;
+  long long retired = 0;
+  for (const CallerLog& log : logs) {
+    EXPECT_TRUE(log.all_known);
+    EXPECT_GT(log.retired, 0);
+    ids.insert(ids.end(), log.admitted.begin(), log.admitted.end());
+    admitted += static_cast<long long>(log.admitted.size());
+    retired += log.retired;
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());  // all distinct
+
+  const FleetStatus status = fleet->Snapshot();
+  EXPECT_EQ(status.pending_requests, 0);
+  EXPECT_EQ(status.admits, admitted);
+  EXPECT_EQ(status.retires, retired);
+  EXPECT_EQ(status.standing_queries, admitted - retired);
+  ASSERT_EQ(status.per_tenant.size(), static_cast<size_t>(kCallers));
+  for (const TenantStatus& t : status.per_tenant) {
+    const CallerLog& log = logs[static_cast<size_t>(t.tenant_id - 1)];
+    EXPECT_EQ(t.standing_queries,
+              static_cast<int>(log.admitted.size()) - log.retired)
+        << "tenant " << t.tenant_id;
+  }
+}
+
+TEST(FleetServiceTest, UnissuedIdsPollAndRetireAsUnknown) {
+  FleetWorld world(11, 1, 20);
+  auto fleet = world.MakeFleet({});
+  const AdmitQueryResponse admit = fleet->Admit(MakeAdmit(0, 0));
+  ASSERT_TRUE(admit.admitted);
+  const int next = admit.query_id + 1;  // the next id the fleet will issue
+  for (const int id : {-1, next}) {
+    const PollAnswersResponse poll = fleet->Poll({id, 0});
+    EXPECT_FALSE(poll.known_query) << id;
+    EXPECT_FALSE(poll.active) << id;
+    EXPECT_TRUE(poll.answers.empty()) << id;
+    const RetireQueryResponse retire = fleet->Retire({id, -1});
+    EXPECT_FALSE(retire.retired) << id;
+    EXPECT_EQ(retire.message, "unknown query id " + std::to_string(id));
+  }
+  // Neither queued anything, and the next admission issues `next`.
+  EXPECT_EQ(fleet->Snapshot().pending_requests, 1);
+  const AdmitQueryResponse second = fleet->Admit(MakeAdmit(0, 0));
+  ASSERT_TRUE(second.admitted);
+  EXPECT_EQ(second.query_id, next);
+  EXPECT_TRUE(fleet->Poll({next, 0}).known_query);
 }
 
 TEST(FleetServiceTest, AnswerRingOverflowReportsDrops) {
