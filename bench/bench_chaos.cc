@@ -37,6 +37,7 @@ void Run() {
                 "stale_fenced", "corrupt_rejected", "deferred",
                 "stale_folded", "duplicates_folded", "rebuilds",
                 "ms_per_run"});
+  json.WallClock({"ms_per_run"});
   bench::PrintHeader(
       "chaos soak (fenced vs naive protocol)",
       {"naive", "violations", "recall", "dup_drop", "stale_fence",

@@ -159,6 +159,7 @@ void Run() {
 
   bench::TableHeader(&json, "replan cost (ms per plan)",
                      {"planner", "first_ms", "steady_ms"});
+  json.WallClock({"first_ms", "steady_ms"});
   for (int which = 0; which < 4; ++which) {
     const Deployment& dep = which == 3 ? proof_net : fig3;
     const double budget = which == 3 ? proof_budget : kBudgetMj;

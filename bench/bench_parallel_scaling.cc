@@ -152,7 +152,8 @@ void Run() {
       .Meta("bit_identical", 1)
       .HostFact("hardware_concurrency", hardware)
       .HostFact("speedup_below_one_expected", single_core ? 1 : 0)
-      .Columns({"threads", "best_ms", "speedup"});
+      .Columns({"threads", "best_ms", "speedup"})
+      .WallClock({"best_ms", "speedup"});
   for (const Row& r : rows) {
     json.Row({double(r.threads), r.best_ms, r.speedup});
   }

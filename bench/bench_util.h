@@ -139,7 +139,21 @@ class BenchJson {
   }
   /// Starts a titled table; subsequent Row() calls append to it.
   BenchJson& Section(std::string title, std::vector<std::string> columns) {
-    tables_.push_back(Table{std::move(title), std::move(columns), {}});
+    tables_.push_back(Table{std::move(title), std::move(columns), {}, {}});
+    return *this;
+  }
+  /// Marks columns of the open table (or of the single table) as
+  /// wall-clock measurements. They land in a "wall_clock" list beside
+  /// "columns"; `tools/bench_diff.py` prints their deltas as notes and
+  /// keeps them out of its exit status, because they vary run to run.
+  /// Every unmarked cell must reproduce, simulated times included (e.g.
+  /// bench_latency's `*_s` columns).
+  BenchJson& WallClock(std::vector<std::string> columns) {
+    if (!tables_.empty()) {
+      tables_.back().wall_clock = std::move(columns);
+    } else {
+      wall_clock_ = std::move(columns);
+    }
     return *this;
   }
   BenchJson& Row(std::vector<double> values) {
@@ -165,6 +179,7 @@ class BenchJson {
     size_t total_rows = rows_.size();
     if (tables_.empty()) {
       doc.Set("columns", Strings(columns_));
+      if (!wall_clock_.empty()) doc.Set("wall_clock", Strings(wall_clock_));
       doc.Set("rows", Rows(rows_));
     } else {
       util::Json tables = util::Json::Array();
@@ -173,6 +188,9 @@ class BenchJson {
         util::Json t = util::Json::Object();
         t.Set("title", table.title);
         t.Set("columns", Strings(table.columns));
+        if (!table.wall_clock.empty()) {
+          t.Set("wall_clock", Strings(table.wall_clock));
+        }
         t.Set("rows", Rows(table.rows));
         tables.Append(std::move(t));
       }
@@ -192,13 +210,15 @@ class BenchJson {
   struct Table {
     std::string title;
     std::vector<std::string> columns;
+    std::vector<std::string> wall_clock;
     std::vector<std::vector<double>> rows;
   };
 
   /// FNV-1a over everything that defines what the bench measured (name,
   /// meta knobs, table shape) but not what it observed (rows), which
-  /// stream it drew (seed), or where it ran (host facts). Two artifacts
-  /// with equal fingerprints are run-to-run comparable.
+  /// stream it drew (seed), where it ran (host facts), or which columns
+  /// are wall clock (how the differ gates them). Two artifacts with equal
+  /// fingerprints are run-to-run comparable.
   uint64_t Fingerprint() const {
     uint64_t h = 0xcbf29ce484222325ULL;
     const auto mix = [&h](const std::string& s) {
@@ -250,6 +270,7 @@ class BenchJson {
   std::vector<std::pair<std::string, double>> meta_;
   std::vector<std::pair<std::string, double>> host_;
   std::vector<std::string> columns_;
+  std::vector<std::string> wall_clock_;
   std::vector<std::vector<double>> rows_;
   std::vector<Table> tables_;
 };

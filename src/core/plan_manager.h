@@ -12,6 +12,7 @@
 #include "src/core/plan_eval.h"
 #include "src/core/planner.h"
 #include "src/net/simulator.h"
+#include "src/obs/obs.h"
 #include "src/util/thread_pool.h"
 
 namespace prospector {
@@ -51,20 +52,34 @@ class PlanManager {
   /// Recomputes the optimal plan against the current samples; installs it
   /// (charging dissemination to `sim`) if there is no plan yet or if it
   /// improves expected sample hits by more than the threshold. Returns
-  /// whether a dissemination happened. Every call plans: callers replan
-  /// only after the window, the topology or the installed plan changed.
+  /// whether a dissemination happened. Callers replan only after the
+  /// window, the topology or the installed plan changed.
+  ///
+  /// With a plan installed, the planner runs only when a candidate could
+  /// install. A plan's sample hits count, per sample, contributing nodes
+  /// that reach the root, each a distinct 1-entry of the window, so no plan
+  /// from any planner scores above `samples.total_ones()`. When even that
+  /// ceiling does not beat the installed plan by the margin, no candidate
+  /// can, and the call returns false without planning
+  /// (`planner.replan_short_circuits`). First plans always plan.
   Result<bool> MaybeReplan(const PlannerContext& ctx,
                            const sampling::SampleSet& samples,
                            net::NetworkSimulator* sim) {
+    int cur_hits = 0;
+    if (plan_.has_value()) {
+      cur_hits = SampleHits(*plan_, *ctx.topology, samples);
+      if (!Beats(samples.total_ones(), cur_hits)) {
+        UpdatePredictedRecall(cur_hits, samples);
+        PROSPECTOR_COUNTER_ADD("planner.replan_short_circuits", 1);
+        return false;
+      }
+    }
     auto candidate = planner_->Plan(ctx, samples, request_);
     if (!candidate.ok()) return candidate.status();
     const int new_hits = SampleHits(*candidate, *ctx.topology, samples);
     if (plan_.has_value()) {
-      const int cur_hits = SampleHits(*plan_, *ctx.topology, samples);
       UpdatePredictedRecall(cur_hits, samples);
-      if (new_hits <= cur_hits * (1.0 + options_.improvement_threshold)) {
-        return false;
-      }
+      if (!Beats(new_hits, cur_hits)) return false;
     }
     plan_ = std::move(candidate.value());
     UpdatePredictedRecall(new_hits, samples);
@@ -116,6 +131,12 @@ class PlanManager {
   const PlanRequest& request() const { return request_; }
 
  private:
+  /// Whether a plan scoring `hits` on the window is worth disseminating
+  /// over the installed plan's `installed_hits`.
+  bool Beats(int hits, int installed_hits) const {
+    return hits > installed_hits * (1.0 + options_.improvement_threshold);
+  }
+
   void UpdatePredictedRecall(int installed_hits,
                              const sampling::SampleSet& samples) {
     const double denom = static_cast<double>(request_.k) *
@@ -156,16 +177,14 @@ inline std::vector<Result<QueryPlan>> PlanSweep(
     util::ThreadPool* pool = nullptr) {
   std::vector<Result<QueryPlan>> results(
       requests.size(), Result<QueryPlan>(Status::Internal("not planned")));
-  auto solve_range = [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      results[i] = factory()->Plan(ctx, samples, requests[i]);
-    }
+  auto solve = [&](int i) {
+    results[i] = factory()->Plan(ctx, samples, requests[i]);
   };
   const int n = static_cast<int>(requests.size());
   if (pool != nullptr) {
-    pool->ParallelFor(n, solve_range);
+    pool->ParallelFor(n, solve);
   } else {
-    solve_range(0, n);
+    for (int i = 0; i < n; ++i) solve(i);
   }
   return results;
 }

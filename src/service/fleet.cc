@@ -251,19 +251,12 @@ Result<FleetEpochReport> FleetService::RunEpoch() {
   std::vector<Result<TickResult>> ticks(
       static_cast<size_t>(n),
       Result<TickResult>(Status::Internal("not ticked")));
-  auto tick_range = [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      Deployment& dep = *deployments_[static_cast<size_t>(i)];
-      ticks[static_cast<size_t>(i)] = dep.engine->Tick(dep.truth(&dep.truth_rng));
-    }
-  };
   // Deployments share no mutable state, so batching them across the pool
   // is bit-identical to the serial loop (see DESIGN.md, "Fleet service").
-  if (pool_.num_threads() > 1) {
-    pool_.ParallelFor(n, tick_range);
-  } else {
-    tick_range(0, n);
-  }
+  pool_.ParallelFor(n, [&](int i) {
+    Deployment& dep = *deployments_[static_cast<size_t>(i)];
+    ticks[static_cast<size_t>(i)] = dep.engine->Tick(dep.truth(&dep.truth_rng));
+  });
 
   // Serial demux in deployment order: answers into poll rings, realized
   // energy onto tenant meters.

@@ -12,7 +12,7 @@ thread_local bool t_in_worker = false;
 
 ThreadPool::ThreadPool(int num_threads) : num_threads_(std::max(num_threads, 1)) {
   workers_.reserve(static_cast<size_t>(num_threads_ - 1));
-  // The calling thread always executes one range itself, so a pool of T
+  // The calling thread always works on its own loops, so a pool of T
   // threads needs T-1 workers.
   for (int t = 1; t < num_threads_; ++t) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -35,63 +35,58 @@ int ThreadPool::HardwareThreads() {
 
 bool ThreadPool::InWorkerThread() { return t_in_worker; }
 
+void ThreadPool::RunClaims(Loop* loop) {
+  for (int i = loop->next++; i < loop->n; i = loop->next++) {
+    (*loop->body)(i);
+  }
+}
+
 void ThreadPool::WorkerLoop() {
   t_in_worker = true;
   for (;;) {
-    Task task;
+    Loop* loop = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
       if (queue_.empty()) return;  // shutdown with a drained queue
-      task = queue_.front();
+      loop = queue_.front();
       queue_.pop_front();
     }
-    (*task.body)(task.begin, task.end);
+    RunClaims(loop);
     {
-      // Notify while still holding the lock: the caller owns the counter,
-      // mutex, and cv on its stack and destroys them the moment it sees
-      // outstanding == 0, so an unlocked notify could touch a dead cv.
-      std::lock_guard<std::mutex> lock(*task.done_mutex);
-      --*task.outstanding;
-      task.done_cv->notify_one();
+      // Notify while still holding the lock: the caller owns the loop on
+      // its stack and destroys it the moment it sees outstanding == 0, so
+      // an unlocked notify could touch a dead cv.
+      std::lock_guard<std::mutex> lock(loop->done_mutex);
+      --loop->outstanding;
+      loop->done_cv.notify_one();
     }
   }
 }
 
-void ThreadPool::ParallelFor(int n, const std::function<void(int, int)>& body) {
+void ThreadPool::ParallelFor(int n, const std::function<void(int)>& body) {
   if (n <= 0) return;
   if (!ShouldParallelize(n)) {
-    body(0, n);
+    for (int i = 0; i < n; ++i) body(i);
     return;
   }
 
-  // Contiguous static split; the partition depends only on n and the pool
-  // size, never on runtime timing.
-  const int parts = std::min(num_threads_, n);
-  const int base = n / parts;
-  const int extra = n % parts;
-
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  int outstanding = parts - 1;  // the caller runs part 0
-
-  int begin = base + (0 < extra ? 1 : 0);  // end of part 0
-  const int first_end = begin;
+  Loop loop;
+  loop.body = &body;
+  loop.n = n;
+  const int helpers = std::min(num_threads_ - 1, n - 1);
+  loop.outstanding = helpers;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (int p = 1; p < parts; ++p) {
-      const int len = base + (p < extra ? 1 : 0);
-      queue_.push_back(
-          Task{&body, begin, begin + len, &done_mutex, &done_cv, &outstanding});
-      begin += len;
-    }
+    for (int h = 0; h < helpers; ++h) queue_.push_back(&loop);
   }
   work_cv_.notify_all();
 
-  body(0, first_end);
+  body(0);
+  RunClaims(&loop);
 
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&outstanding] { return outstanding == 0; });
+  std::unique_lock<std::mutex> lock(loop.done_mutex);
+  loop.done_cv.wait(lock, [&loop] { return loop.outstanding == 0; });
 }
 
 }  // namespace util

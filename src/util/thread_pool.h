@@ -1,6 +1,7 @@
 #ifndef PROSPECTOR_UTIL_THREAD_POOL_H_
 #define PROSPECTOR_UTIL_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -11,16 +12,16 @@
 namespace prospector {
 namespace util {
 
-/// A fixed-size worker pool for data-parallel loops over index ranges. It
+/// A fixed-size worker pool for data-parallel loops over indices. It
 /// serves the coarse, independent work units: the fleet service's
 /// per-deployment epoch batch and PlanSweep's per-request plans. Planners
 /// themselves run serially.
 ///
 /// Design goals, in order:
-///   1. *Determinism.* The split of [0, n) depends only on n and the pool
-///      size, and callers write per-index slots, so results are identical
-///      for any thread count. Parallelism changes wall time, never
-///      results.
+///   1. *Determinism.* Bodies write only per-index slots, and callers read
+///      the slots in index order after the loop, so results are identical
+///      for any thread count even though which thread runs which index
+///      depends on timing. Parallelism changes wall time, never results.
 ///   2. *Graceful degradation.* A pool built with `num_threads <= 1` spawns
 ///      no workers and runs every loop inline, exactly preserving the
 ///      single-threaded code path. Calls made from inside a worker (nested
@@ -49,22 +50,29 @@ class ThreadPool {
   /// (any pool); used to run nested parallel loops inline.
   static bool InWorkerThread();
 
-  /// Invokes `body(begin, end)` over disjoint sub-ranges covering [0, n)
-  /// and blocks until all sub-ranges finished. Ranges are contiguous and
-  /// ascending; the caller's thread executes the first range itself. The
-  /// body must only write to per-index slots (no unsynchronized shared
-  /// state).
-  void ParallelFor(int n, const std::function<void(int, int)>& body);
+  /// Invokes `body(i)` once for every i in [0, n) and blocks until all
+  /// calls finished. The caller runs index 0, then it and the workers
+  /// claim the remaining indices in ascending order, one at a time, so a
+  /// thread that finishes a cheap index takes the next one instead of
+  /// idling behind an expensive one. The body must only write to
+  /// per-index slots (no unsynchronized shared state).
+  void ParallelFor(int n, const std::function<void(int)>& body);
 
  private:
-  struct Task {
-    std::function<void(int, int)> const* body = nullptr;
-    int begin = 0;
-    int end = 0;
-    std::mutex* done_mutex = nullptr;
-    std::condition_variable* done_cv = nullptr;
-    int* outstanding = nullptr;
+  /// One parallel loop, owned by the ParallelFor call on its stack.
+  /// Queued helpers claim indices from `next` until it passes `n`; the
+  /// caller waits until every helper finished before the loop leaves its
+  /// stack.
+  struct Loop {
+    const std::function<void(int)>* body = nullptr;
+    int n = 0;
+    std::atomic<int> next{1};  ///< index 0 is the caller's
+    std::mutex done_mutex;
+    std::condition_variable done_cv;
+    int outstanding = 0;  ///< helpers not yet finished, under done_mutex
   };
+
+  static void RunClaims(Loop* loop);
 
   bool ShouldParallelize(int n) const {
     return num_threads_ > 1 && n > 1 && !InWorkerThread();
@@ -76,7 +84,7 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::mutex mutex_;
   std::condition_variable work_cv_;
-  std::deque<Task> queue_;
+  std::deque<Loop*> queue_;  ///< one entry per helper a loop asked for
   bool shutdown_ = false;
 };
 

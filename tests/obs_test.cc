@@ -49,11 +49,9 @@ TEST(ObsMetricsTest, ParallelCounterIncrementsAreExact) {
   Counter* weighted = reg.counter("test.weighted");
   constexpr int kN = 100000;
   util::ThreadPool pool(4);
-  pool.ParallelFor(kN, [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      unit->Increment();
-      weighted->Add(i + 1);
-    }
+  pool.ParallelFor(kN, [&](int i) {
+    unit->Increment();
+    weighted->Add(i + 1);
   });
   EXPECT_EQ(unit->value(), kN);
   EXPECT_EQ(weighted->value(),

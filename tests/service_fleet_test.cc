@@ -380,12 +380,10 @@ TEST(FleetServiceTest, FleetParallelAdmissionIsThreadSafe) {
   auto fleet = world.MakeFleet({});
   util::ThreadPool pool(4);
   std::vector<int> got(kAdmits, -1);
-  pool.ParallelFor(kAdmits, [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      const AdmitQueryResponse resp =
-          fleet->Admit(MakeAdmit(i % 4, i % 3, 2 + i % 4));
-      got[i] = resp.admitted ? resp.query_id : -1;
-    }
+  pool.ParallelFor(kAdmits, [&](int i) {
+    const AdmitQueryResponse resp =
+        fleet->Admit(MakeAdmit(i % 4, i % 3, 2 + i % 4));
+    got[i] = resp.admitted ? resp.query_id : -1;
   });
   std::vector<int> ids;
   for (int id : got) {
@@ -419,46 +417,44 @@ TEST(FleetServiceTest, FleetCallersRaceEpochsAtTheServiceLock) {
   std::array<std::atomic<int>, kCallers> iterations{};
   std::atomic<bool> stop{false};
   util::ThreadPool pool(1 + kCallers);
-  pool.ParallelFor(1 + kCallers, [&](int begin, int end) {
-    for (int part = begin; part < end; ++part) {
-      if (part == 0) {  // the calling thread
-        std::array<int, kCallers> seen{};
-        for (int e = 0; e < kEpochs; ++e) {
-          // Every caller finishes at least one more iteration before each
-          // epoch, so the epochs overlap live callers on any schedule.
-          for (int c = 0; c < kCallers; ++c) {
-            while (iterations[c].load() <= seen[c]) std::this_thread::yield();
-            seen[c] = iterations[c].load();
-          }
-          auto report = fleet->RunEpoch();
-          EXPECT_TRUE(report.ok()) << report.status().ToString();
+  pool.ParallelFor(1 + kCallers, [&](int part) {
+    if (part == 0) {  // the calling thread
+      std::array<int, kCallers> seen{};
+      for (int e = 0; e < kEpochs; ++e) {
+        // Every caller finishes at least one more iteration before each
+        // epoch, so the epochs overlap live callers on any schedule.
+        for (int c = 0; c < kCallers; ++c) {
+          while (iterations[c].load() <= seen[c]) std::this_thread::yield();
+          seen[c] = iterations[c].load();
         }
-        stop = true;
-        continue;
+        auto report = fleet->RunEpoch();
+        EXPECT_TRUE(report.ok()) << report.status().ToString();
       }
-      CallerLog& log = logs[static_cast<size_t>(part - 1)];
-      const int tenant = part;
-      std::deque<int> standing;
-      for (int i = 0; !stop.load(); ++i) {
-        if (standing.size() < kStandingPerCaller) {
-          const AdmitQueryResponse admit =
-              fleet->Admit(MakeAdmit(i % 2, tenant));
-          if (admit.admitted) {
-            log.admitted.push_back(admit.query_id);
-            standing.push_back(admit.query_id);
-          }
-        } else {
-          const int id = standing.front();
-          standing.pop_front();
-          if (fleet->Retire({id, tenant}).retired) ++log.retired;
-          log.all_known &= fleet->Poll({id, 0}).known_query;
+      stop = true;
+      return;
+    }
+    CallerLog& log = logs[static_cast<size_t>(part - 1)];
+    const int tenant = part;
+    std::deque<int> standing;
+    for (int i = 0; !stop.load(); ++i) {
+      if (standing.size() < kStandingPerCaller) {
+        const AdmitQueryResponse admit =
+            fleet->Admit(MakeAdmit(i % 2, tenant));
+        if (admit.admitted) {
+          log.admitted.push_back(admit.query_id);
+          standing.push_back(admit.query_id);
         }
-        for (const int id : standing) {
-          log.all_known &= fleet->Poll({id, 0}).known_query;
-        }
-        ++iterations[static_cast<size_t>(part - 1)];
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      } else {
+        const int id = standing.front();
+        standing.pop_front();
+        if (fleet->Retire({id, tenant}).retired) ++log.retired;
+        log.all_known &= fleet->Poll({id, 0}).known_query;
       }
+      for (const int id : standing) {
+        log.all_known &= fleet->Poll({id, 0}).known_query;
+      }
+      ++iterations[static_cast<size_t>(part - 1)];
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   });
   // One more boundary applies whatever the callers queued last.

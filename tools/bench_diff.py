@@ -15,6 +15,12 @@ and then reports per-cell relative deltas exceeding --tol (default 5%).
 Artifacts present on only one side are listed. Exit status: 0 when
 every common artifact is comparable and within tolerance, 1 otherwise.
 
+Wall-clock columns vary run to run, so they never fail the diff. A bench
+marks them in a "wall_clock" list beside its table's "columns" (a column
+marked on either side counts); their deltas beyond --tol are printed as
+notes. Column names are never guessed from a suffix: a simulated `*_s`
+column is as deterministic as a counter and must reproduce.
+
 Seeds are provenance, not configuration: a seed difference is reported
 but only fails the diff under --seed-strict.
 
@@ -68,11 +74,14 @@ def load_tree(path, errors):
 
 
 def tables_of(doc):
-    """Normalizes both artifact shapes to a list of (title, columns, rows)."""
+    """Normalizes both artifact shapes to a list of
+    (title, columns, rows, wall_clock columns)."""
     if "tables" in doc:
-        return [(t.get("title", ""), t.get("columns", []), t.get("rows", []))
+        return [(t.get("title", ""), t.get("columns", []), t.get("rows", []),
+                 t.get("wall_clock", []))
                 for t in doc["tables"]]
-    return [("", doc.get("columns", []), doc.get("rows", []))]
+    return [("", doc.get("columns", []), doc.get("rows", []),
+             doc.get("wall_clock", []))]
 
 
 def rel_delta(a, b):
@@ -126,9 +135,10 @@ def diff_artifact(name, old, new, tol, seed_strict, out):
         out.append(f"{name}: table count {len(old_tables)} != "
                    f"{len(new_tables)}")
         return False
-    for (title, cols_o, rows_o), (_, cols_n, rows_n) in zip(
+    for (title, cols_o, rows_o, wall_o), (_, cols_n, rows_n, wall_n) in zip(
             old_tables, new_tables):
         label = f"{name}" + (f"[{title}]" if title else "")
+        wall_clock = set(wall_o) | set(wall_n)
         if cols_o != cols_n:
             out.append(f"{label}: column sets differ")
             ok = False
@@ -145,6 +155,10 @@ def diff_artifact(name, old, new, tol, seed_strict, out):
                     out.append(f"{label}: row {r} {col}: non-numeric "
                                f"cells {a!r} != {b!r}")
                     ok = False
+                elif d > tol and col in wall_clock:
+                    out.append(f"{label}: row {r} {col}: "
+                               f"{a:.6g} -> {b:.6g} ({d * 100.0:.1f}%) "
+                               "(note: wall clock, not gated)")
                 elif d > tol:
                     out.append(f"{label}: row {r} {col}: "
                                f"{a:.6g} -> {b:.6g} ({d * 100.0:.1f}%)")
